@@ -332,6 +332,13 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out, seed):
         sys.exit(2)
 
     central = fld.central_cell
+    if not central.any():
+        # Nothing to average or to check: the summary would print NaN and a
+        # vacuous "0 violations".
+        click.echo(f"error: resolution {_fmt9(resolution)} m leaves no usable pixel in "
+                   f"the central cell (pixels: {fld.n_pixels}, excluded: {fld.n_excluded})",
+                   err=True)
+        sys.exit(2)
     emp_alpha = float(fld.serving_distance[central].mean() / dep.d_max)
     _emit(export_field_csv(fld), out)
 

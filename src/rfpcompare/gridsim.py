@@ -124,30 +124,87 @@ def default_region(lattice: SiteLattice) -> Region:
     return Region(-1.1 * d, 1.1 * d, -1.1 * _SQRT3 / 2.0 * d, 1.1 * _SQRT3 / 2.0 * d)
 
 
+#: Largest grid that ``compute_field`` and ``empirical_alpha`` accept: four
+#: times the 1,047,200 pixels of a 1 m hexagonal field. A field costs 33 bytes
+#: per pixel in arrays and about 55 more as CSV text.
+MAX_FIELD_PIXELS = 2**22
+
+#: Pixels per tile of the field kernel. A tile's working buffers (~130 kB
+#: each) stay in cache while every site is swept over them.
+TILE_PIXELS = 2**14
+
+
 def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-center coordinates; pixels are resolution-sized, centers sampled."""
-    nx = int(math.floor((region.x_max - region.x_min) / resolution + 1e-9))
+    """Pixel-center coordinates; pixels are resolution-sized, centers sampled.
+
+    Grids above ``MAX_FIELD_PIXELS`` are refused from the axis lengths, before
+    anything is allocated.
+    """
+    strip = region.y_min == region.y_max
+    nx_f = (region.x_max - region.x_min) / resolution + 1e-9
+    ny_f = 1.0 if strip else (region.y_max - region.y_min) / resolution + 1e-9
+    # Clamped before flooring: a subnormal resolution overflows to infinity,
+    # and one axis longer than the budget is refused anyway.
+    nx, ny = (math.floor(min(n, MAX_FIELD_PIXELS + 1)) for n in (nx_f, ny_f))
+    if nx * ny > MAX_FIELD_PIXELS:
+        raise ValueError(
+            f"resolution {resolution:g} m needs about {nx_f * ny_f:.3g} pixels, over "
+            f"the pixel budget MAX_FIELD_PIXELS = {MAX_FIELD_PIXELS}"
+        )
     xs = region.x_min + (np.arange(nx) + 0.5) * resolution
-    if region.y_min == region.y_max:
+    if strip:
         ys = np.array([region.y_min])
     else:
-        ny = int(math.floor((region.y_max - region.y_min) / resolution + 1e-9))
         ys = region.y_min + (np.arange(ny) + 0.5) * resolution
     return xs, ys
 
 
-def _nearest_site(
-    lattice: SiteLattice, X: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel nearest site id and distance (ties keep the lowest id)."""
-    serving_id = np.zeros(X.shape, dtype=int)
-    serving_d = np.hypot(X - lattice.sites[0, 0], Y - lattice.sites[0, 1])
-    for i in range(1, len(lattice.sites)):
-        d = np.hypot(X - lattice.sites[i, 0], Y - lattice.sites[i, 1])
-        closer = d < serving_d
-        serving_id[closer] = i
-        serving_d[closer] = d[closer]
-    return serving_id, serving_d
+def _site_sweep(
+    lattice: SiteLattice,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    gamma: float | None = None,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Nearest site and, optionally, total power over the grid ``ys`` x ``xs``.
+
+    Works on squared distances, tile by tile, sweeping every site over each
+    tile. Returns per pixel the nearest site id (a strict ``<`` keeps the
+    lowest id on ties), the squared distance to it, and, when ``gamma`` is
+    given, the sum over all sites in site order of ``scale * d**-gamma``.
+    """
+    shape = (len(ys), len(xs))
+    serving_id = np.zeros(shape, dtype=int)
+    min_d2 = np.full(shape, np.inf)
+    total = None if gamma is None else np.zeros(shape)
+    sites_x = lattice.sites[:, :1]
+    dy2 = (ys - lattice.sites[:, 1:]) ** 2  # (sites, ny)
+
+    # A tile spans whole rows unless one row exceeds the budget; then it is
+    # one row high and the columns are split too.
+    width = max(1, min(len(xs), TILE_PIXELS))
+    height = TILE_PIXELS // width
+    d2_buf = np.empty((height, width))
+    closer_buf = np.empty((height, width), dtype=bool)
+    for c0 in range(0, len(xs), width):
+        cols = slice(c0, c0 + width)
+        dx2 = (xs[cols] - sites_x) ** 2  # (sites, tile width)
+        for r0 in range(0, len(ys), height):
+            rows = slice(r0, r0 + height)
+            t_min, t_id = min_d2[rows, cols], serving_id[rows, cols]
+            t_total = None if total is None else total[rows, cols]
+            used = tuple(slice(n) for n in t_min.shape)  # the last tiles are cut short
+            d2, closer = d2_buf[used], closer_buf[used]
+            for i in range(len(lattice.sites)):
+                np.add(dy2[i, rows, None], dx2[i], out=d2)
+                np.less(d2, t_min, out=closer)
+                np.minimum(t_min, d2, out=t_min)
+                np.putmask(t_id, closer, i)
+                if t_total is not None:
+                    np.power(d2, -gamma / 2.0, out=d2)
+                    d2 *= scale
+                    t_total += d2
+    return serving_id, min_d2, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,26 +251,19 @@ def compute_field(
 
     The total sums the contribution of every lattice site; the serving site is
     the nearest one. Deterministic and independent of any pixel partitioning
-    (pure per-pixel arithmetic).
+    (pure per-pixel arithmetic). Grids over ``MAX_FIELD_PIXELS`` raise
+    ``ValueError``; an empty region gives an empty field.
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution}")
     if region is None:
         region = default_region(lattice)
     xs, ys = _pixel_axes(region, resolution)
-    X, Y = np.meshgrid(xs, ys)
 
     scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
-    serving_id = np.zeros(X.shape, dtype=int)
-    serving_d = np.full(X.shape, np.inf)
-    total = np.zeros(X.shape)
     with np.errstate(divide="ignore"):
-        for i in range(len(lattice.sites)):
-            d = np.hypot(X - lattice.sites[i, 0], Y - lattice.sites[i, 1])
-            closer = d < serving_d
-            serving_id[closer] = i
-            serving_d[closer] = d[closer]
-            total += scale * d**-dep.gamma
+        serving_id, min_d2, total = _site_sweep(lattice, xs, ys, dep.gamma, scale)
+        serving_d = np.sqrt(min_d2)
         excluded = serving_d < resolution / 2.0
         serving_power = scale * serving_d**-dep.gamma
 
@@ -307,10 +357,9 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
             f"resolution must be <= d_max/100 = {lattice.d_max / 100.0}, got {resolution}"
         )
     xs, ys = _pixel_axes(default_region(lattice), resolution)
-    X, Y = np.meshgrid(xs, ys)
-    serving_id, serving_d = _nearest_site(lattice, X, Y)
+    serving_id, min_d2, _ = _site_sweep(lattice, xs, ys)
     central = serving_id == 0
-    return float(serving_d[central].mean() / lattice.d_max)
+    return float(np.sqrt(min_d2[central]).mean() / lattice.d_max)
 
 
 def export_field_csv(field: RfpField) -> str:
@@ -321,16 +370,20 @@ def export_field_csv(field: RfpField) -> str:
     """
     buf = io.StringIO()
     buf.write("x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n")
-    for iy in range(len(field.ys)):
-        y = field.ys[iy]
-        for ix in range(len(field.xs)):
-            x = field.xs[ix]
-            sid = field.serving_site[iy, ix]
-            d = field.serving_distance[iy, ix]
-            if field.excluded[iy, ix]:
-                buf.write(f"{x:.9g},{y:.9g},{sid},{d:.9g},,,1\n")
-            else:
-                rs = field.rfp_serving[iy, ix]
-                rt = field.rfp_total[iy, ix]
-                buf.write(f"{x:.9g},{y:.9g},{sid},{d:.9g},{rs:.9g},{rt:.9g},0\n")
+    # Every row repeats the same x values: format them once.
+    x_cells = [f"{x:.9g}," for x in field.xs.tolist()]
+    for iy, y in enumerate(field.ys.tolist()):
+        y_cell = f"{y:.9g}"
+        buf.write("".join([
+            f"{x}{y_cell},{sid},{d:.9g},,,1\n" if ex
+            else f"{x}{y_cell},{sid},{d:.9g},{rs:.9g},{rt:.9g},0\n"
+            for x, sid, d, rs, rt, ex in zip(
+                x_cells,
+                field.serving_site[iy].tolist(),
+                field.serving_distance[iy].tolist(),
+                field.rfp_serving[iy].tolist(),
+                field.rfp_total[iy].tolist(),
+                field.excluded[iy].tolist(),
+            )
+        ]))
     return buf.getvalue()

@@ -240,6 +240,32 @@ def test_simulate_write_failure_exits_1(tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("layout,resolution,pixels", [
+    ("hexagonal", "5000", 0),
+    ("highway", "2000", 0),
+    ("square", "777", 1),  # the one pixel sits on the central site and is excluded
+])
+def test_simulate_refuses_grid_without_central_pixels(tmp_path, layout, resolution, pixels):
+    """No pixel to average or check: exit 2 instead of a NaN alpha and a
+    vacuous "0 violations", and no CSV is written."""
+    out = tmp_path / "f.csv"
+    result = invoke("simulate", "--layout", layout, "--resolution", resolution,
+                    "--out", str(out))
+    assert result.exit_code == 2
+    assert f"no usable pixel in the central cell (pixels: {pixels}," in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", ["0.01", "1e-320"])
+def test_simulate_refuses_grid_over_pixel_budget(tmp_path, resolution):
+    out = tmp_path / "f.csv"
+    result = invoke("simulate", "--layout", "hexagonal", "--resolution", resolution,
+                    "--out", str(out))
+    assert result.exit_code == 2
+    assert "pixel budget MAX_FIELD_PIXELS = 4194304" in result.stderr
+    assert not out.exists()
+
+
 def test_simulate_second_deployment_uses_its_d_max(tmp_path):
     out = tmp_path / "field.csv"
     result = invoke("simulate", "--scenario", "S1", "--deployment", "2",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from rfpcompare import (
     rfp_upper_bound,
     verify_upper_bound,
 )
+from rfpcompare.gridsim import MAX_FIELD_PIXELS, TILE_PIXELS
+from rfpcompare.propagation import emitted_power
 
 SQRT3 = math.sqrt(3.0)
 S1_DEP1 = Deployment(d_max=500.0, p_r_th=1.0, gamma=3.0, f=700.0)
@@ -51,6 +54,37 @@ def pixel_region(x: float, y: float, resolution: float) -> Region:
         x - resolution / 2.0, x + resolution / 2.0,
         y - resolution / 2.0, y + resolution / 2.0,
     )
+
+
+def hypot_oracle(lattice: SiteLattice, dep: Deployment, fld) -> dict[str, np.ndarray]:
+    """Brute-force reference for ``compute_field`` on ``fld``'s pixel grid:
+    full meshgrid, ``np.hypot`` distances, a nearest-site search that keeps
+    the lowest id on ties, and the exact per-site sum of the total power."""
+    X, Y = np.meshgrid(fld.xs, fld.ys)
+    scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
+    serving_id = np.zeros(X.shape, dtype=int)
+    serving_d = np.full(X.shape, np.inf)
+    total = np.zeros(X.shape)
+    with np.errstate(divide="ignore"):
+        for i in range(len(lattice.sites)):
+            d = np.hypot(X - lattice.sites[i, 0], Y - lattice.sites[i, 1])
+            closer = d < serving_d
+            serving_id[closer] = i
+            serving_d[closer] = d[closer]
+            total += scale * d**-dep.gamma
+    excluded = serving_d < fld.resolution / 2.0
+    total[excluded] = np.nan
+    return {"serving_site": serving_id, "serving_distance": serving_d,
+            "rfp_total": total, "excluded": excluded}
+
+
+def spans_partial_tiles(fld) -> bool:
+    """True when the field needs more than one kernel tile and its last tile
+    is cut short (rows, or columns for a strip wider than one tile)."""
+    ny, nx = fld.serving_site.shape
+    width = min(nx, TILE_PIXELS)
+    height = TILE_PIXELS // width
+    return nx * ny > TILE_PIXELS and bool(ny % height or nx % width)
 
 
 # -- site generation -----------------------------------------------------------
@@ -222,20 +256,78 @@ def test_field_excludes_pixels_on_sites():
 
 def test_field_values_independent_of_region_partitioning():
     """Per-pixel purity: sub-region values equal the full-region values at the
-    same pixel centers."""
+    same pixel centers, also where the full grid's tiles split differently."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
-    full = compute_field(lattice, S1_DEP1, 10.0, region=Region(-100.0, 100.0, -100.0, 100.0))
-    part = compute_field(lattice, S1_DEP1, 10.0, region=Region(0.0, 100.0, 0.0, 100.0))
+    full = compute_field(lattice, S1_DEP1, 1.0, region=Region(-100.0, 100.0, -100.0, 100.0))
+    part = compute_field(lattice, S1_DEP1, 1.0, region=Region(0.0, 100.0, 0.0, 100.0))
+    assert spans_partial_tiles(full)
     ix = np.searchsorted(full.xs, part.xs)
     iy = np.searchsorted(full.ys, part.ys)
     assert np.array_equal(full.xs[ix], part.xs)
-    assert np.array_equal(full.rfp_total[np.ix_(iy, ix)], part.rfp_total)
+    assert np.array_equal(full.ys[iy], part.ys)
+    for name in ("serving_site", "serving_distance", "rfp_total"):
+        assert np.array_equal(getattr(full, name)[np.ix_(iy, ix)], getattr(part, name)), name
+
+
+def test_serving_site_ties_keep_lowest_id():
+    """Pixels exactly midway between two highway sites go to the lower id."""
+    lattice = generate_sites(LayoutKind.HIGHWAY, 500.0, 2)
+    assert lattice.sites[:, 0].tolist() == [0.0, 1000.0, -1000.0, 2000.0, -2000.0]
+    fld = compute_field(lattice, S1_DEP1, 1.0, region=Region(-1500.5, 1500.5, 0.0, 0.0))
+    serving = dict(zip(fld.xs.tolist(), fld.serving_site[0].tolist()))
+    assert [serving[x] for x in (-1500.0, -500.0, 500.0, 1500.0)] == [2, 0, 0, 1]
+
+
+@pytest.mark.parametrize("gamma", [2.1, 3.0, 4.0])
+@pytest.mark.parametrize("kind,resolution", [
+    (LayoutKind.HIGHWAY, 0.05),  # 22,000-pixel strip: the columns are tiled too
+    (LayoutKind.SQUARE, 5.0),
+    (LayoutKind.HEXAGONAL, 5.0),
+])
+def test_field_matches_hypot_oracle(kind, resolution, gamma):
+    """The squared-distance kernel agrees with the brute-force hypot loop.
+
+    Serving ids and exclusions are identical. sqrt(dx**2 + dy**2) is within
+    about one ulp of hypot (2.2e-16 relative), hence rtol 4e-16 on distances;
+    each power term then moves by a few ulp, hence rtol 1e-13 on totals.
+    """
+    dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=gamma, f=700.0)
+    lattice = generate_sites(kind, 500.0, 2)
+    fld = compute_field(lattice, dep, resolution)
+    assert spans_partial_tiles(fld)
+    ref = hypot_oracle(lattice, dep, fld)
+    assert np.array_equal(fld.serving_site, ref["serving_site"])
+    assert np.array_equal(fld.excluded, ref["excluded"])
+    np.testing.assert_allclose(fld.serving_distance, ref["serving_distance"], rtol=4e-16, atol=0)
+    np.testing.assert_allclose(fld.rfp_total, ref["rfp_total"], rtol=1e-13, atol=0)
 
 
 def test_compute_field_rejects_bad_resolution():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     with pytest.raises(ValueError):
         compute_field(lattice, S1_DEP1, 0.0)
+
+
+def test_pixel_budget_admits_the_1m_hexagonal_field():
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    fld = compute_field(lattice, S1_DEP1, 1.0)
+    assert fld.n_pixels == 1_047_200 <= MAX_FIELD_PIXELS
+
+
+def test_pixel_budget_refuses_oversized_grid_before_allocating():
+    """At 0.01 m the default hexagonal region is ~1.05e10 pixels; the refusal
+    comes from the axis lengths, so almost nothing is allocated."""
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_FIELD_PIXELS"):
+            compute_field(lattice, S1_DEP1, 0.01)
+        with pytest.raises(ValueError, match="MAX_FIELD_PIXELS"):
+            empirical_alpha(lattice, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_highway_field_is_a_single_row():
@@ -325,6 +417,17 @@ def test_empirical_alpha_converges_first_order():
             err = abs(empirical_alpha(lattice, resolution) - closed)
             assert err <= 0.6 * resolution / 500.0, (kind, resolution, err)
         assert abs(empirical_alpha(lattice, 1.0) - closed) < 1e-3, kind
+
+
+def test_empirical_alpha_matches_hypot_oracle():
+    """Mean serving distance over the central cell equals the oracle's to
+    1e-15 relative (the per-pixel distances differ by at most ~1 ulp)."""
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    fld = compute_field(lattice, S1_DEP1, 2.0)
+    ref = hypot_oracle(lattice, S1_DEP1, fld)
+    central = ref["serving_site"] == 0
+    expected = ref["serving_distance"][central].mean() / 500.0
+    assert empirical_alpha(lattice, 2.0) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_empirical_alpha_resolution_guard():
