@@ -358,7 +358,11 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out, seed):
               help="Monte Carlo sample count for the alpha checks.")
 def validate(seed, samples):
     """Run the self-validation suite and report per-check status."""
-    results = run_validation(seed=seed, mc_samples=samples)
+    try:
+        results = run_validation(seed=seed, mc_samples=samples)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.family:<12} {r.name:<32} {r.detail}")

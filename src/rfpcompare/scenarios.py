@@ -329,6 +329,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 # -- Beta sweeps -------------------------------------------------------------
 
+#: Most grid points a beta sweep may have; a finer step is refused before
+#: the grid is built.
+MAX_SWEEP_POINTS = 100_000
+
+
 def sweep_beta(
     scenario: Scenario,
     kind: LayoutKind,
@@ -342,7 +347,8 @@ def sweep_beta(
     The grid runs from beta_start to beta_end in steps of beta_step, with both
     endpoints included up to half-a-step tolerance. The whole range is checked
     before evaluation: a grid point whose beta2 would exceed 1 aborts the
-    sweep naming the offending beta1.
+    sweep naming the offending beta1, and a grid of more than
+    ``MAX_SWEEP_POINTS`` points is refused before it is built.
     """
     if beta_step <= 0:
         raise ValueError(f"beta_step must be > 0, got {beta_step}")
@@ -350,7 +356,15 @@ def sweep_beta(
         raise ValueError(
             f"need 0 < beta_start <= beta_end, got [{beta_start}, {beta_end}]"
         )
-    n_points = int((beta_end - beta_start) / beta_step + 0.5) + 1
+    # Checked as a float before int(): a subnormal step gives an infinite count.
+    n_steps = (beta_end - beta_start) / beta_step + 0.5
+    if not n_steps < MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"beta grid [{beta_start:g}, {beta_end:g}] in steps of {beta_step:g} needs "
+            f"about {n_steps + 0.5:.3g} points, over the point budget "
+            f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
+        )
+    n_points = int(n_steps) + 1
     grid = [beta_start + k * beta_step for k in range(n_points)]
 
     delta_d_max = scenario.dep1.d_max / scenario.dep2.d_max

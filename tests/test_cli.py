@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -214,6 +215,15 @@ def test_sweep_rejects_beta2_overflow():
     assert "beta2" in result.stderr
 
 
+@pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+def test_sweep_refuses_grid_over_point_budget(step):
+    result = invoke("sweep", "--scenario", "S5", "--layout", "hexagonal",
+                    "--beta-start", "0.05", "--beta-end", "0.1", "--beta-step", step)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "point budget MAX_SWEEP_POINTS = 100000" in result.stderr
+
+
 # -- simulate ------------------------------------------------------------------
 
 
@@ -284,6 +294,34 @@ def test_validate_passes_and_lists_families():
         assert family in result.output
     assert "FAIL" not in result.output
     assert "monte-carlo-alpha-hexagonal" in result.output
+
+
+# sha256 of the whole `validate --samples 200000 --seed S` stdout, recorded
+# from the full-array Monte Carlo estimator. They pin the four
+# `monte-carlo-alpha-*` lines, so any change to the draw stream, the accepted
+# points or the printed statistics shows here.
+VALIDATE_STDOUT_SHA256 = {
+    7: "fd21077411cf86bb677812ce3d7b426ec6a406ef955de63253397a5fbbe0ec50",
+    2024: "3728b5606f306bba7cfaf1beda63308be2804a6375fc5a58b6796922d1416796",
+    58121: "cd6e46ff4c9ae77e23af85bc19251ed176679416021662959b0d50b51fa96cd2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VALIDATE_STDOUT_SHA256))
+def test_validate_stdout_matches_recorded_digest(seed):
+    result = invoke("validate", "--samples", "200000", "--seed", str(seed))
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == VALIDATE_STDOUT_SHA256[seed], result.stdout
+
+
+@pytest.mark.parametrize("samples", ["999", "0", "-5"])
+def test_validate_refuses_samples_below_minimum(samples):
+    result = invoke("validate", "--samples", samples)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert ">= 1000" in result.stderr
+    assert "Traceback" not in result.output
 
 
 def test_validate_names_monte_carlo_check_when_alpha_is_corrupted(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rfpcompare import (
     layout_neighbor_count,
     layout_zeta,
 )
+from rfpcompare.geometry import _BOUNDING_BOX, _MC_CHUNK, contains_mask
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -206,7 +208,89 @@ def test_cell_contains_square_symmetry():
         assert cell_contains(LayoutKind.SQUARE, (x, -y)) == member
 
 
+def half_plane_hexagon(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The hexagon's three edge pairs, each tested on its own."""
+    return (
+        (np.abs(y) <= SQRT3 / 2.0)
+        & (np.abs(SQRT3 * x + y) <= SQRT3)
+        & (np.abs(SQRT3 * x - y) <= SQRT3)
+    )
+
+
+def test_hexagon_mask_is_bit_identical_to_three_edge_pairs():
+    """The folded slanted-edge test accepts exactly the same points, random
+    ones and ones within a few ulps of every edge and vertex."""
+    rng = np.random.default_rng(2718)
+    x = rng.uniform(-1.2, 1.2, 2_000_000)
+    y = rng.uniform(-1.2, 1.2, 2_000_000)
+    # Points on the slanted edges (x from y) and on the flat ones (y = +-sqrt(3)/2),
+    # then every vertex, all nudged by -4..4 ulps in each coordinate.
+    t = rng.uniform(-SQRT3 / 2.0, SQRT3 / 2.0, 20_000)
+    edge_x = (SQRT3 - np.abs(t)) / SQRT3
+    flat_x = rng.uniform(-0.5, 0.5, 20_000)
+    bx = np.concatenate([edge_x, -edge_x, edge_x, -edge_x, flat_x, flat_x,
+                         [v[0] for v in HEX_VERTICES]])
+    by = np.concatenate([t, t, -t, -t, np.full(20_000, SQRT3 / 2.0),
+                         np.full(20_000, -SQRT3 / 2.0), [v[1] for v in HEX_VERTICES]])
+    nudge = np.arange(-4, 5)
+    near_x = bx[:, None, None] + nudge[:, None] * np.spacing(bx)[:, None, None]
+    near_y = by[:, None, None] + nudge * np.spacing(by)[:, None, None]
+    near_x, near_y = np.broadcast_arrays(near_x, near_y)
+    x = np.concatenate([x, near_x.ravel()])
+    y = np.concatenate([y, near_y.ravel()])
+    mask = contains_mask(LayoutKind.HEXAGONAL, x, y)
+    expected = half_plane_hexagon(x, y)
+    assert np.array_equal(mask, expected)
+    # The boundary points really straddle the edges.
+    assert 0 < np.count_nonzero(mask[-near_x.size:]) < near_x.size
+
+
 # -- Monte Carlo --------------------------------------------------------------
+
+
+def full_array_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, float]:
+    """The estimator as it was before it streamed: every accepted distance in
+    one array, then numpy's mean and std. Same draws and acceptance rule."""
+    rng = np.random.default_rng(seed)
+    if kind is LayoutKind.HIGHWAY:
+        d = np.abs(rng.uniform(-1.0, 1.0, n_samples))
+    else:
+        (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
+        d = np.empty(n_samples)
+        filled = 0
+        while filled < n_samples:
+            m = min(_MC_CHUNK, max(2 * (n_samples - filled), 4096))
+            x = rng.uniform(x_lo, x_hi, m)
+            y = rng.uniform(y_lo, y_hi, m)
+            keep = contains_mask(kind, x, y)
+            take = min(int(keep.sum()), n_samples - filled)
+            d[filled : filled + take] = np.hypot(x[keep][:take], y[keep][:take])
+            filled += take
+    return float(d.mean()), float(d.std(ddof=1) / math.sqrt(n_samples))
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+@pytest.mark.parametrize(
+    "n_samples", [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17]
+)
+def test_monte_carlo_matches_full_array_oracle(kind, n_samples):
+    """Exact chunk multiples and short last chunks give the oracle's numbers."""
+    estimate, stderr = estimate_alpha_monte_carlo(kind, n_samples, 31)
+    oracle_estimate, oracle_stderr = full_array_oracle(kind, n_samples, 31)
+    assert estimate == pytest.approx(oracle_estimate, rel=1e-14, abs=0)
+    assert stderr == pytest.approx(oracle_stderr, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+def test_monte_carlo_memory_does_not_grow_with_samples(kind):
+    """4e6 samples peak below 48 MiB; one array of them alone is 30.5 MiB."""
+    tracemalloc.start()
+    try:
+        estimate_alpha_monte_carlo(kind, 4_000_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_monte_carlo_highway_close_to_half():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from rfpcompare import (
     sweep_beta,
     validate_scenario,
 )
+from rfpcompare.scenarios import MAX_SWEEP_POINTS
 
 S1_DOCUMENT = """
 {
@@ -314,6 +316,31 @@ def test_sweep_range_validation():
         sweep_beta(s1, LayoutKind.HEXAGONAL, NeighborMode.NONE, 0.1, 0.05, 0.01)
     with pytest.raises(ValueError):
         sweep_beta(s1, LayoutKind.HEXAGONAL, NeighborMode.NONE, 0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("beta_step", [1e-9, 5e-324])
+def test_sweep_refuses_grid_over_point_budget_before_allocating(beta_step):
+    """5e7 points, and an infinite count from a subnormal step, are refused
+    from the grid length alone."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="point budget MAX_SWEEP_POINTS = 100000"):
+            sweep_beta(
+                builtin_scenario("S5"), LayoutKind.HEXAGONAL, NeighborMode.NONE,
+                0.05, 0.1, beta_step,
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sweep_admits_grid_at_point_budget():
+    series = sweep_beta(
+        builtin_scenario("S1"), LayoutKind.HEXAGONAL, NeighborMode.NONE,
+        0.05, 0.05 + (MAX_SWEEP_POINTS - 1) * 1e-6, 1e-6,
+    )
+    assert len(series) == MAX_SWEEP_POINTS
 
 
 def test_all_builtin_combinations_evaluate_cleanly():
