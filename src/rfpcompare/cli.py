@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair
 from .errors import RfpError
 from .geometry import Layout, LayoutKind, TESSELLATING_KINDS
@@ -116,7 +117,7 @@ def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="rfpcompare")
+@click.version_option(version=__version__, prog_name="rfpcompare")
 def main() -> None:
     """Compare the received RF power of paired cellular deployments.
 

@@ -17,8 +17,6 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoTessellationError
 from .geometry import LayoutKind, Layout, layout_zeta
 from .propagation import Deployment, emitted_power
@@ -61,6 +59,7 @@ class SiteLattice:
 
     @property
     def n_first_ring(self) -> int:
+        import numpy as np
         return int(np.count_nonzero(self.ring_of == 1))
 
 
@@ -72,6 +71,7 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
     cells are served by a triangular site lattice where every site has six
     equidistant neighbors.
     """
+    import numpy as np
     kind = LayoutKind(kind)
     if kind not in (LayoutKind.HIGHWAY, LayoutKind.SQUARE, LayoutKind.HEXAGONAL):
         raise NoTessellationError("the circle layout has no site lattice")
@@ -140,6 +140,7 @@ def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarr
     Grids above ``MAX_FIELD_PIXELS`` are refused from the axis lengths, before
     anything is allocated.
     """
+    import numpy as np
     strip = region.y_min == region.y_max
     nx_f = (region.x_max - region.x_min) / resolution + 1e-9
     ny_f = 1.0 if strip else (region.y_max - region.y_min) / resolution + 1e-9
@@ -173,6 +174,7 @@ def _site_sweep(
     lowest id on ties), the squared distance to it, and, when ``gamma`` is
     given, the sum over all sites in site order of ``scale * d**-gamma``.
     """
+    import numpy as np
     shape = (len(ys), len(xs))
     serving_id = np.zeros(shape, dtype=int)
     min_d2 = np.full(shape, np.inf)
@@ -233,6 +235,7 @@ class RfpField:
 
     @property
     def n_excluded(self) -> int:
+        import numpy as np
         return int(np.count_nonzero(self.excluded))
 
     @property
@@ -254,8 +257,9 @@ def compute_field(
     (pure per-pixel arithmetic). Grids over ``MAX_FIELD_PIXELS`` raise
     ``ValueError``; an empty region gives an empty field.
     """
-    if not resolution > 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
+    import numpy as np
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     if region is None:
         region = default_region(lattice)
     xs, ys = _pixel_axes(region, resolution)
@@ -309,6 +313,7 @@ def verify_upper_bound(
     rings is expected to produce no violations; passing a deliberately small
     ``n_i`` (or a single-ring lattice with n_i = 0) is the negative control.
     """
+    import numpy as np
     if layout.kind is not field.lattice.kind:
         raise ValueError(
             f"layout kind {layout.kind.value} does not match the lattice "
@@ -352,6 +357,7 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
     Averages over all pixels whose nearest site is the central one; converges
     to the layout's closed-form alpha as the resolution shrinks.
     """
+    import numpy as np
     if not resolution <= lattice.d_max / 100.0:
         raise ValueError(
             f"resolution must be <= d_max/100 = {lattice.d_max / 100.0}, got {resolution}"

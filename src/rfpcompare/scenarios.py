@@ -350,7 +350,7 @@ def sweep_beta(
     sweep naming the offending beta1, and a grid of more than
     ``MAX_SWEEP_POINTS`` points is refused before it is built.
     """
-    if beta_step <= 0:
+    if not beta_step > 0:
         raise ValueError(f"beta_step must be > 0, got {beta_step}")
     if not 0 < beta_start <= beta_end:
         raise ValueError(

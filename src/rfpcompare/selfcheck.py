@@ -8,8 +8,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-import numpy as np
-
 from .comparison import CLOSED_FORM_RTOL, verify_closed_forms
 from .geometry import (
     Layout,
@@ -116,6 +114,7 @@ def _random_deployment(rng: np.random.Generator) -> Deployment:
 
 
 def _propagation_checks(seed: int) -> list[CheckResult]:
+    import numpy as np
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):

@@ -18,17 +18,22 @@ SRC_DIR = Path(rfpcompare.__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def run_cli(tmp_path):
-    """Run `python -m rfpcompare ARGS` as a separate process in `tmp_path`,
-    with SRC_DIR ahead of any inherited PYTHONPATH entries."""
+def child_env() -> dict[str, str]:
+    """The environment of a child process: SRC_DIR ahead of any inherited
+    PYTHONPATH entries."""
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join([str(SRC_DIR), inherited] if inherited else [str(SRC_DIR)])
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+@pytest.fixture
+def run_cli(tmp_path, child_env):
+    """Run `python -m rfpcompare ARGS` as a separate process in `tmp_path`."""
 
     def run(args: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, "-m", "rfpcompare", *args],
-            cwd=tmp_path, env=env, capture_output=True, timeout=300,
+            cwd=tmp_path, env=child_env, capture_output=True, timeout=300,
         )
 
     return run

@@ -208,6 +208,13 @@ def test_sweep_rejects_zero_step():
     assert result.exit_code == 2
 
 
+def test_sweep_names_a_nan_step():
+    result = invoke("sweep", "--scenario", "S5", "--layout", "hexagonal",
+                    "--beta-start", "0.05", "--beta-end", "0.1", "--beta-step", "nan")
+    assert result.exit_code == 2
+    assert result.stderr == "error: beta_step must be > 0, got nan\n"
+
+
 def test_sweep_rejects_beta2_overflow():
     result = invoke("sweep", "--scenario", "S5", "--layout", "hexagonal",
                     "--beta-start", "0.05", "--beta-end", "0.11", "--beta-step", "0.01")
@@ -273,6 +280,15 @@ def test_simulate_refuses_grid_over_pixel_budget(tmp_path, resolution):
                     "--out", str(out))
     assert result.exit_code == 2
     assert "pixel budget MAX_FIELD_PIXELS = 4194304" in result.stderr
+    assert not out.exists()
+
+
+def test_simulate_names_an_infinite_resolution(tmp_path):
+    out = tmp_path / "f.csv"
+    result = invoke("simulate", "--layout", "hexagonal", "--resolution", "inf",
+                    "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr == "error: resolution must be finite and > 0, got inf\n"
     assert not out.exists()
 
 

@@ -1,0 +1,75 @@
+"""Start-up: the closed-form commands never import numpy."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import rfpcompare.cli
+import rfpcompare.comparison
+import rfpcompare.geometry
+import rfpcompare.gridsim
+import rfpcompare.scenarios
+import rfpcompare.selfcheck
+
+# Imports the package and the CLI, runs one command in-process, and prints
+# whether numpy got loaded on the way.
+CHILD = """
+import json, sys
+import rfpcompare, rfpcompare.cli
+code = rfpcompare.cli.main(sys.argv[1:], standalone_mode=False)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+SWEEP = ["sweep", "--scenario", "S5", "--layout", "hexagonal",
+         "--beta-start", "0.05", "--beta-end", "0.1", "--beta-step", "0.01"]
+
+
+@pytest.mark.parametrize("args,loads_numpy", [
+    (["compare", "--scenario", "S2", "--all-layouts"], False),
+    (SWEEP, False),
+    (["--version"], False),
+    # Positive control: the field simulator does load numpy, so the check
+    # above can fail.
+    (["simulate", "--layout", "hexagonal", "--resolution", "25"], True),
+], ids=["compare", "sweep", "version", "simulate"])
+def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args, loads_numpy):
+    proc = subprocess.run([sys.executable, "-c", CHILD, *args], cwd=tmp_path,
+                          env=child_env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report["code"] in (None, 0)
+    assert report["numpy"] is loads_numpy
+
+
+# The benchmark's traced mode wraps these functions by rebinding them in the
+# namespace that calls them (module, name, defining module). So the calling
+# modules must import them at module level, not inside a command body, or the
+# wrapper would be bypassed.
+CALLER_BINDINGS = [
+    (rfpcompare.cli, "generate_sites", rfpcompare.gridsim),
+    (rfpcompare.cli, "compute_field", rfpcompare.gridsim),
+    (rfpcompare.cli, "verify_upper_bound", rfpcompare.gridsim),
+    (rfpcompare.cli, "export_field_csv", rfpcompare.gridsim),
+    (rfpcompare.cli, "evaluate_pair", rfpcompare.comparison),
+    (rfpcompare.cli, "closed_form_delta", rfpcompare.comparison),
+    (rfpcompare.cli, "parse_scenario_file", rfpcompare.scenarios),
+    (rfpcompare.cli, "validate_scenario", rfpcompare.scenarios),
+    (rfpcompare.cli, "sweep_beta", rfpcompare.scenarios),
+    (rfpcompare.cli, "run_validation", rfpcompare.selfcheck),
+    (rfpcompare.selfcheck, "verify_closed_forms", rfpcompare.comparison),
+    (rfpcompare.selfcheck, "estimate_alpha_monte_carlo", rfpcompare.geometry),
+    (rfpcompare.selfcheck, "generate_sites", rfpcompare.gridsim),
+    (rfpcompare.selfcheck, "compute_field", rfpcompare.gridsim),
+    (rfpcompare.selfcheck, "verify_upper_bound", rfpcompare.gridsim),
+    (rfpcompare.selfcheck, "empirical_alpha", rfpcompare.gridsim),
+]
+
+
+@pytest.mark.parametrize("caller,name,owner", CALLER_BINDINGS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in CALLER_BINDINGS])
+def test_layer_functions_stay_bound_at_module_level(caller, name, owner):
+    assert getattr(caller, name) is getattr(owner, name)
