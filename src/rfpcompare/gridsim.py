@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import NoTessellationError
 from .geometry import LayoutKind, Layout, layout_zeta
@@ -129,9 +131,17 @@ def default_region(lattice: SiteLattice) -> Region:
 #: per pixel in arrays and about 55 more as CSV text.
 MAX_FIELD_PIXELS = 2**22
 
-#: Pixels per tile of the field kernel. A tile's working buffers (~130 kB
-#: each) stay in cache while every site is swept over them.
+#: Pixels per tile of the field kernel. The worker that sweeps a tile has its
+#: own working buffers for it (~130 kB each), which stay in cache while every
+#: site is swept over them.
 TILE_PIXELS = 2**14
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +183,12 @@ def _site_sweep(
     tile. Returns per pixel the nearest site id (a strict ``<`` keeps the
     lowest id on ties), the squared distance to it, and, when ``gamma`` is
     given, the sum over all sites in site order of ``scale * d**-gamma``.
+    The row tiles of a column strip run on a thread pool with one worker per
+    usable CPU; each pixel belongs to one tile, so the result does not depend
+    on the worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
     shape = (len(ys), len(xs))
     serving_id = np.zeros(shape, dtype=int)
@@ -186,17 +201,15 @@ def _site_sweep(
     # one row high and the columns are split too.
     width = max(1, min(len(xs), TILE_PIXELS))
     height = TILE_PIXELS // width
-    d2_buf = np.empty((height, width))
-    closer_buf = np.empty((height, width), dtype=bool)
-    for c0 in range(0, len(xs), width):
-        cols = slice(c0, c0 + width)
-        dx2 = (xs[cols] - sites_x) ** 2  # (sites, tile width)
-        for r0 in range(0, len(ys), height):
-            rows = slice(r0, r0 + height)
-            t_min, t_id = min_d2[rows, cols], serving_id[rows, cols]
-            t_total = None if total is None else total[rows, cols]
-            used = tuple(slice(n) for n in t_min.shape)  # the last tiles are cut short
-            d2, closer = d2_buf[used], closer_buf[used]
+    # numpy's error state is thread-local, so workers re-enter the caller's.
+    errstate = np.geterr()
+
+    def sweep_tile(cols: slice, dx2: np.ndarray, r0: int) -> None:
+        rows = slice(r0, r0 + height)
+        t_min, t_id = min_d2[rows, cols], serving_id[rows, cols]
+        t_total = None if total is None else total[rows, cols]
+        d2, closer = np.empty(t_min.shape), np.empty(t_min.shape, dtype=bool)
+        with np.errstate(**errstate):
             for i in range(len(lattice.sites)):
                 np.add(dy2[i, rows, None], dx2[i], out=d2)
                 np.less(d2, t_min, out=closer)
@@ -206,6 +219,14 @@ def _site_sweep(
                     np.power(d2, -gamma / 2.0, out=d2)
                     d2 *= scale
                     t_total += d2
+
+    row_starts = range(0, len(ys), height)
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(row_starts)))) as pool:
+        for c0 in range(0, len(xs), width):
+            cols = slice(c0, c0 + width)
+            dx2 = (xs[cols] - sites_x) ** 2  # (sites, tile width), shared read-only
+            for _ in pool.map(partial(sweep_tile, cols, dx2), row_starts):
+                pass  # iterating re-raises a worker's exception
     return serving_id, min_d2, total
 
 
@@ -376,20 +397,35 @@ def export_field_csv(field: RfpField) -> str:
     """
     buf = io.StringIO()
     buf.write("x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n")
-    # Every row repeats the same x values: format them once.
+    # Every row repeats the same x values: format them once. A row (or, in a
+    # strip wider than one tile, a tile-wide piece of it) without excluded
+    # pixels fills one template from a list holding each pixel's six fields
+    # in turn; one with an excluded pixel goes cell by cell.
     x_cells = [f"{x:.9g}," for x in field.xs.tolist()]
+    width = max(1, min(len(x_cells), TILE_PIXELS))
+    cell = "%s%s,%d,%.9g,%.9g,%.9g,0\n"
+    template = cell * width
     for iy, y in enumerate(field.ys.tolist()):
         y_cell = f"{y:.9g}"
-        buf.write("".join([
-            f"{x}{y_cell},{sid},{d:.9g},,,1\n" if ex
-            else f"{x}{y_cell},{sid},{d:.9g},{rs:.9g},{rt:.9g},0\n"
-            for x, sid, d, rs, rt, ex in zip(
-                x_cells,
-                field.serving_site[iy].tolist(),
-                field.serving_distance[iy].tolist(),
-                field.rfp_serving[iy].tolist(),
-                field.rfp_total[iy].tolist(),
-                field.excluded[iy].tolist(),
+        for c0 in range(0, len(x_cells), width):
+            cols = slice(c0, c0 + width)
+            columns = (
+                x_cells[cols],
+                field.serving_site[iy, cols].tolist(),
+                field.serving_distance[iy, cols].tolist(),
+                field.rfp_serving[iy, cols].tolist(),
+                field.rfp_total[iy, cols].tolist(),
             )
-        ]))
+            excluded = field.excluded[iy, cols]
+            if excluded.any():
+                buf.write("".join([
+                    f"{x}{y_cell},{sid},{d:.9g},,,1\n" if ex
+                    else f"{x}{y_cell},{sid},{d:.9g},{rs:.9g},{rt:.9g},0\n"
+                    for x, sid, d, rs, rt, ex in zip(*columns, excluded.tolist())
+                ]))
+                continue
+            n = len(columns[0])
+            fields: list = [y_cell] * (6 * n)
+            fields[0::6], fields[2::6], fields[3::6], fields[4::6], fields[5::6] = columns
+            buf.write((template if n == width else cell * n) % tuple(fields))
     return buf.getvalue()

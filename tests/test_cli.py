@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -290,6 +292,20 @@ def test_simulate_names_an_infinite_resolution(tmp_path):
     assert result.exit_code == 2
     assert result.stderr == "error: resolution must be finite and > 0, got inf\n"
     assert not out.exists()
+
+
+def test_simulate_pixel_on_a_site_is_silent_under_warnings_as_errors(tmp_path, child_env):
+    """The pixel at (0, 0) sits on a site, so its power divides by zero. The
+    field kernel ignores that in the worker threads too, as the caller asks."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rfpcompare", "simulate", "--layout", "highway",
+         "--rings", "2", "--resolution", "100"],
+        cwd=tmp_path, env=child_env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert b"excluded: 1\n" in proc.stdout
+    assert "\n0,0,0,0,,,1\n" in (tmp_path / "field.csv").read_text()
 
 
 def test_simulate_second_deployment_uses_its_d_max(tmp_path):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +34,7 @@ from rfpcompare import (
     rfp_upper_bound,
     verify_upper_bound,
 )
-from rfpcompare.gridsim import MAX_FIELD_PIXELS, TILE_PIXELS
+from rfpcompare.gridsim import MAX_FIELD_PIXELS, TILE_PIXELS, RfpField
 from rfpcompare.propagation import emitted_power
 
 SQRT3 = math.sqrt(3.0)
@@ -76,6 +81,22 @@ def hypot_oracle(lattice: SiteLattice, dep: Deployment, fld) -> dict[str, np.nda
     total[excluded] = np.nan
     return {"serving_site": serving_id, "serving_distance": serving_d,
             "rfp_total": total, "excluded": excluded}
+
+
+def per_cell_oracle(field) -> str:
+    """Reference for ``export_field_csv``: every pixel formatted on its own,
+    with ``format`` specs, the empty power cells for excluded pixels."""
+    lines = ["x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n"]
+    for iy, y in enumerate(field.ys.tolist()):
+        for ix, x in enumerate(field.xs.tolist()):
+            sid = int(field.serving_site[iy, ix])
+            d = float(field.serving_distance[iy, ix])
+            if field.excluded[iy, ix]:
+                lines.append(f"{x:.9g},{y:.9g},{sid},{d:.9g},,,1\n")
+            else:
+                rs, rt = float(field.rfp_serving[iy, ix]), float(field.rfp_total[iy, ix])
+                lines.append(f"{x:.9g},{y:.9g},{sid},{d:.9g},{rs:.9g},{rt:.9g},0\n")
+    return "".join(lines)
 
 
 def spans_partial_tiles(fld) -> bool:
@@ -302,6 +323,97 @@ def test_field_matches_hypot_oracle(kind, resolution, gamma):
     np.testing.assert_allclose(fld.rfp_total, ref["rfp_total"], rtol=1e-13, atol=0)
 
 
+def force_cpus(monkeypatch, n: int) -> list[int]:
+    """Make the process see ``n`` usable CPUs; returns the worker counts of
+    the thread pools the field kernel creates from then on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("kind,resolution,row_tiles", [
+    (LayoutKind.HIGHWAY, 0.05, 1),  # two column strips of one tile each
+    (LayoutKind.SQUARE, 5.0, 2),
+    (LayoutKind.HEXAGONAL, 5.0, 3),
+])
+def test_field_is_bit_identical_for_any_worker_count(monkeypatch, kind, resolution, row_tiles):
+    """One worker or three: every pixel sweeps the sites in the same order,
+    so the arrays are bit-equal, and they match the hypot oracle as above."""
+    dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=2.1, f=700.0)
+    lattice = generate_sites(kind, 500.0, 2)
+    fields = {}
+    for n in (1, 3):
+        sizes = force_cpus(monkeypatch, n)
+        fields[n] = compute_field(lattice, dep, resolution)
+        assert sizes == [min(n, row_tiles)]
+    assert spans_partial_tiles(fields[1])
+    for name in ("serving_site", "serving_distance", "rfp_serving", "rfp_total", "excluded"):
+        assert np.array_equal(getattr(fields[1], name), getattr(fields[3], name),
+                              equal_nan=name.startswith("rfp")), name
+    ref = hypot_oracle(lattice, dep, fields[3])
+    assert np.array_equal(fields[3].serving_site, ref["serving_site"])
+    assert np.array_equal(fields[3].excluded, ref["excluded"])
+    np.testing.assert_allclose(fields[3].serving_distance, ref["serving_distance"],
+                               rtol=4e-16, atol=0)
+    np.testing.assert_allclose(fields[3].rfp_total, ref["rfp_total"], rtol=1e-13, atol=0)
+
+
+def test_field_with_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):
+    """Stress: eight workers over 16 row tiles, switching threads every
+    microsecond. A buffer or tile shared between workers would corrupt it."""
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    force_cpus(monkeypatch, 1)
+    serial = compute_field(lattice, S1_DEP1, 2.0)
+    sizes = force_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = compute_field(lattice, S1_DEP1, 2.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [8]
+    for name in ("serving_site", "serving_distance", "rfp_total"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name),
+                              equal_nan=name == "rfp_total"), name
+
+
+def test_field_worker_exception_reaches_the_caller(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    raised_in = []
+
+    def failing_power(*args, **kwargs):
+        raised_in.append(threading.current_thread())
+        raise ArithmeticError("power failed in a worker")
+
+    monkeypatch.setattr(np, "power", failing_power)
+    with pytest.raises(ArithmeticError, match="power failed in a worker"):
+        compute_field(lattice, S1_DEP1, 5.0)
+    assert raised_in and threading.main_thread() not in raised_in
+
+
+def test_field_pixel_on_a_site_is_silent_in_every_worker(monkeypatch):
+    """numpy's error state does not pass to new threads by itself; the pixel
+    at (0, 0) sits on the central site, in the middle of three row tiles."""
+    force_cpus(monkeypatch, 3)
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    region = Region(-201.0, 201.0, -201.0, 201.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fld = compute_field(lattice, S1_DEP1, 2.0, region=region)
+    assert fld.n_pixels > 2 * TILE_PIXELS
+    assert fld.xs[100] == fld.ys[100] == 0.0
+    assert fld.excluded[100, 100] and fld.n_excluded == 1
+
+
 def test_compute_field_rejects_bad_resolution():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     with pytest.raises(ValueError):
@@ -483,6 +595,54 @@ def test_export_marks_excluded_pixels():
     fld = compute_field(lattice, S1_DEP1, 10.0, region=pixel_region(0.0, 0.0, 10.0))
     lines = export_field_csv(fld).strip().split("\n")
     assert lines[1].endswith(",,,1")
+
+
+SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1e300, -1e-300, 9.99999999e299,
+            1.0000000005e-300, 5e-324, 1.7976931348623157e308, 123456789.5, 0.1)
+
+
+def synthetic_field(nx: int, ny: int, excluded_at: list[tuple[int, int]]) -> RfpField:
+    """A field with random values over many magnitudes, the ``SPECIALS``
+    scattered over each float column, and the pixels in ``excluded_at``
+    (row, column) flagged."""
+    rng = np.random.default_rng(nx * 1000 + ny)
+    shape = (ny, nx)
+
+    def column():
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        flat = values.reshape(-1)
+        for k, v in enumerate(SPECIALS):
+            flat[(k * 7919 + rng.integers(nx * ny)) % flat.size] = v
+        return values
+
+    excluded = np.zeros(shape, dtype=bool)
+    for iy, ix in excluded_at:
+        excluded[iy, ix] = True
+    return RfpField(
+        lattice=single_site_lattice(LayoutKind.SQUARE, 500.0),
+        resolution=1.0,
+        region=Region(0.0, float(nx), 0.0, float(ny)),
+        xs=(nx // 2 - np.arange(nx)) * -1.25,  # -0.0 at the middle
+        ys=np.linspace(-3.3, 7.7, ny),
+        serving_site=rng.integers(0, 441, shape),
+        serving_distance=np.abs(column()),
+        rfp_serving=column(),
+        rfp_total=column(),
+        excluded=excluded,
+    )
+
+
+@pytest.mark.parametrize("nx,ny,excluded_at", [
+    (37, 11, [(0, 3), (5, 0), (5, 36), (10, 20)]),  # first, middle and last rows
+    (37, 11, []),
+    (53, 1, [(0, 52)]),  # a 1-row strip
+    (1, 29, [(0, 0), (14, 0)]),  # a 1-column grid
+    (2 * TILE_PIXELS + 5, 1, [(0, TILE_PIXELS + 2)]),  # a strip split into three pieces
+    (2 * TILE_PIXELS + 5, 1, []),
+], ids=["grid", "grid-none-excluded", "row", "column", "wide-strip", "wide-strip-none-excluded"])
+def test_export_matches_per_cell_oracle(nx, ny, excluded_at):
+    fld = synthetic_field(nx, ny, excluded_at)
+    assert export_field_csv(fld) == per_cell_oracle(fld)
 
 
 def test_export_uses_lf_and_9_digit_precision():

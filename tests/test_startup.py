@@ -1,4 +1,4 @@
-"""Start-up: the closed-form commands never import numpy."""
+"""Start-up: the closed-form commands import neither numpy nor the thread pool."""
 
 from __future__ import annotations
 
@@ -16,33 +16,37 @@ import rfpcompare.scenarios
 import rfpcompare.selfcheck
 
 # Imports the package and the CLI, runs one command in-process, and prints
-# whether numpy got loaded on the way.
+# whether numpy and the field kernel's thread pool got loaded on the way.
 CHILD = """
 import json, sys
 import rfpcompare, rfpcompare.cli
 code = rfpcompare.cli.main(sys.argv[1:], standalone_mode=False)
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "futures": "concurrent.futures" in sys.modules}))
 """
 
 SWEEP = ["sweep", "--scenario", "S5", "--layout", "hexagonal",
          "--beta-start", "0.05", "--beta-end", "0.1", "--beta-step", "0.01"]
 
 
-@pytest.mark.parametrize("args,loads_numpy", [
+@pytest.mark.parametrize("args,loads_arrays", [
     (["compare", "--scenario", "S2", "--all-layouts"], False),
     (SWEEP, False),
     (["--version"], False),
-    # Positive control: the field simulator does load numpy, so the check
+    # Positive control: the field simulator does load both, so the checks
     # above can fail.
     (["simulate", "--layout", "hexagonal", "--resolution", "25"], True),
 ], ids=["compare", "sweep", "version", "simulate"])
-def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args, loads_numpy):
+def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args, loads_arrays):
+    """numpy and ``concurrent.futures`` (the field kernel's thread pool) load
+    only for the array commands."""
     proc = subprocess.run([sys.executable, "-c", CHILD, *args], cwd=tmp_path,
                           env=child_env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     report = json.loads(proc.stdout.decode().splitlines()[-1])
     assert report["code"] in (None, 0)
-    assert report["numpy"] is loads_numpy
+    assert report["numpy"] is loads_arrays
+    assert report["futures"] is loads_arrays
 
 
 # The benchmark's traced mode wraps these functions by rebinding them in the
