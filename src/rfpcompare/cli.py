@@ -2,8 +2,12 @@
 and the self-validation suite.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/validation error.
-Human-readable tables go to standard output, diagnostics to the error stream.
-Ratios are linear; ``--db`` adds a 10*log10 rendering alongside.
+Results go to standard output (or ``--out``), diagnostics to the error stream.
+``compare`` and ``sweep`` render their records through one emitter: the table
+shows numbers to 4 significant digits, CSV and JSON to 9. Ratios are linear;
+``--db`` adds a ``*_db`` column (10*log10) after each ratio column. Closed-form
+columns are empty in the table and CSV, and ``null`` in JSON, when the
+scenario is not a built-in.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair
-from .errors import RfpError
+from .errors import PlausibilityWarning, RfpError
 from .geometry import Layout, LayoutKind, TESSELLATING_KINDS
 from .gridsim import compute_field, export_field_csv, generate_sites, verify_upper_bound
 from .propagation import NeighborMode
@@ -35,19 +40,6 @@ _FORMAT_CHOICE = click.Choice(["table", "csv", "json"])
 _TESSELLATING_CHOICE = click.Choice([k.value for k in TESSELLATING_KINDS])
 _ANY_LAYOUT_CHOICE = click.Choice([k.value for k in LayoutKind])
 _NEIGHBOR_CHOICE = click.Choice(["on", "off"])
-
-
-def _fmt9(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def _fmt4(value: float) -> str:
-    return f"{value:.4g}"
-
-
-def _json_number(value: float) -> float:
-    # Pin JSON numbers to the documented 9 significant digits.
-    return float(f"{value:.9g}")
 
 
 def _db(value: float) -> float:
@@ -69,8 +61,16 @@ def _load_scenario(source: str) -> Scenario:
     )
 
 
-def _check_scenario(scenario: Scenario) -> None:
-    """Report violations; warnings go to stderr, errors abort with code 2."""
+def _load_checked_scenario(source: str) -> Scenario:
+    """Load a scenario and report its violations: warnings go to stderr,
+    errors abort with code 2.
+
+    The constructors' own ``PlausibilityWarning`` is ignored while loading,
+    because ``validate_scenario`` reports the same finding with its field path.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PlausibilityWarning)
+        scenario = _load_scenario(source)
     violations = validate_scenario(scenario)
     for v in violations:
         if v.severity == "warning":
@@ -80,6 +80,7 @@ def _check_scenario(scenario: Scenario) -> None:
         for v in errors:
             click.echo(f"error: {v.path}: {v.message}", err=True)
         sys.exit(2)
+    return scenario
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -93,27 +94,48 @@ def _emit(text: str, out: str | None) -> None:
             sys.exit(1)
 
 
-def _render_table(headers: list[str], rows: list[list[str]], n_text_cols: int) -> str:
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
+def _pin(value):
+    """``value`` with every float, nested ones too, pinned to 9 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {key: _pin(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_pin(item) for item in value]
+    return value
+
+
+def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list],
+                  objects: list[dict]) -> None:
+    """Write one record per row as an aligned table, CSV or JSON.
+
+    The table shows numbers to 4 significant digits, with text columns
+    left-aligned and number columns right-aligned; CSV shows them to 9. JSON
+    writes ``objects`` instead of the rows, with numbers pinned to 9
+    significant digits. ``None`` is an empty cell in the table and CSV, and
+    ``null`` in JSON.
+    """
+    if fmt == "json":
+        _emit(json.dumps(_pin(objects), indent=2) + "\n", out)
+        return
+    digits = 9 if fmt == "csv" else 4
+    lines = [headers] + [
+        [v if isinstance(v, str) else "" if v is None else f"{v:.{digits}g}" for v in row]
+        for row in rows
     ]
-    def fmt_row(cells: list[str]) -> str:
-        parts = [
-            cells[i].ljust(widths[i]) if i < n_text_cols else cells[i].rjust(widths[i])
-            for i in range(len(cells))
-        ]
-        return "  ".join(parts).rstrip()
-
-    lines = [fmt_row(headers), fmt_row(["-" * w for w in widths])]
-    lines.extend(fmt_row(r) for r in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(headers)]
-    lines.extend(",".join(r) for r in rows)
-    return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        _emit("".join(",".join(cells) + "\n" for cells in lines), out)
+        return
+    columns = range(len(headers))
+    widths = [max(len(cells[i]) for cells in lines) for i in columns]
+    text_columns = [any(isinstance(row[i], str) for row in rows) for i in columns]
+    lines.insert(1, ["-" * w for w in widths])
+    aligned = (
+        "  ".join(c.ljust(w) if text else c.rjust(w)
+                  for c, w, text in zip(cells, widths, text_columns))
+        for cells in lines
+    )
+    _emit("".join(line.rstrip() + "\n" for line in aligned), out)
 
 
 @click.group()
@@ -156,8 +178,7 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     """
     if layout_name and all_layouts:
         raise click.UsageError("--layout and --all-layouts are mutually exclusive")
-    scenario = _load_scenario(scenario_source)
-    _check_scenario(scenario)
+    scenario = _load_checked_scenario(scenario_source)
 
     if layout_name:
         layouts = (LayoutKind(layout_name),)
@@ -172,7 +193,13 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     beta1 = scenario.beta1 if beta is None else beta
     has_closed_form = _scenario_is_builtin(scenario)
 
-    records = []
+    ratio_keys = [f"delta_{m.value}" for m in Metric]
+    headers = ["scenario", "layout", "mode", *ratio_keys]
+    if show_db:
+        headers += [f"{key}_db" for key in ratio_keys]
+    headers += [f"closed_{m.value}" for m in Metric] + ["max_rel_diff"]
+
+    rows, objects = [], []
     try:
         for kind in layouts:
             layout = Layout(kind)
@@ -181,76 +208,27 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
                     continue
                 pair = DeploymentPair(scenario.dep1, scenario.dep2, layout, beta1, mode)
                 result = evaluate_pair(pair, scenario_id=scenario.id)
-                closed = None
-                rel_diff = None
+                ratios = [result.get(m) for m in Metric]
+                closed = rel_diff = None
                 if has_closed_form:
-                    closed = {
-                        m: closed_form_delta(scenario.id, m, layout, mode, beta1)
-                        for m in Metric
-                    }
-                    rel_diff = max(
-                        abs(closed[m] - result.get(m)) / abs(result.get(m))
-                        for m in Metric
-                    )
-                records.append((kind, mode, result, closed, rel_diff))
+                    closed = [closed_form_delta(scenario.id, m, layout, mode, beta1)
+                              for m in Metric]
+                    rel_diff = max(abs(c - r) / abs(r) for c, r in zip(closed, ratios))
+                if show_db:
+                    ratios += [_db(r) for r in ratios]
+                row = [scenario.id, kind.value, mode.value, *ratios]
+                obj = dict(zip(headers, row))
+                obj["closed_form"] = None if closed is None else dict(zip(ratio_keys, closed))
+                obj["relative_difference"] = rel_diff
+                rows.append(row + (closed or [None] * 3) + [rel_diff])
+                objects.append(obj)
     except RfpError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    if not records:
+    if not rows:
         click.echo("error: nothing to evaluate (empty layout/mode selection)", err=True)
         sys.exit(2)
-
-    headers = ["scenario", "layout", "mode", "delta_pe", "delta_pr_avg", "delta_pr_fx"]
-    if show_db:
-        headers += ["delta_pe_db", "delta_pr_avg_db", "delta_pr_fx_db"]
-    headers += ["closed_pe", "closed_pr_avg", "closed_pr_fx", "max_rel_diff"]
-
-    def row_cells(record, fmt_num) -> list[str]:
-        kind, mode, result, closed, rel_diff = record
-        cells = [scenario.id, kind.value, mode.value,
-                 fmt_num(result.delta_pe), fmt_num(result.delta_pr_avg),
-                 fmt_num(result.delta_pr_fx)]
-        if show_db:
-            cells += [fmt_num(_db(result.delta_pe)), fmt_num(_db(result.delta_pr_avg)),
-                      fmt_num(_db(result.delta_pr_fx))]
-        if closed is None:
-            cells += ["", "", "", ""]
-        else:
-            cells += [fmt_num(closed[Metric.PE]), fmt_num(closed[Metric.PR_AVG]),
-                      fmt_num(closed[Metric.PR_FX]), fmt_num(rel_diff)]
-        return cells
-
-    if fmt == "json":
-        payload = []
-        for kind, mode, result, closed, rel_diff in records:
-            obj = {
-                "scenario": scenario.id,
-                "layout": kind.value,
-                "mode": mode.value,
-                "delta_pe": _json_number(result.delta_pe),
-                "delta_pr_avg": _json_number(result.delta_pr_avg),
-                "delta_pr_fx": _json_number(result.delta_pr_fx),
-            }
-            if show_db:
-                obj["delta_pe_db"] = _json_number(_db(result.delta_pe))
-                obj["delta_pr_avg_db"] = _json_number(_db(result.delta_pr_avg))
-                obj["delta_pr_fx_db"] = _json_number(_db(result.delta_pr_fx))
-            obj["closed_form"] = (
-                None
-                if closed is None
-                else {
-                    "delta_pe": _json_number(closed[Metric.PE]),
-                    "delta_pr_avg": _json_number(closed[Metric.PR_AVG]),
-                    "delta_pr_fx": _json_number(closed[Metric.PR_FX]),
-                }
-            )
-            obj["relative_difference"] = None if rel_diff is None else _json_number(rel_diff)
-            payload.append(obj)
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    elif fmt == "csv":
-        _emit(_render_csv(headers, [row_cells(r, _fmt9) for r in records]), out)
-    else:
-        _emit(_render_table(headers, [row_cells(r, _fmt4) for r in records], 3), out)
+    _emit_records(fmt, out, headers, rows, objects)
 
 
 @main.command()
@@ -266,8 +244,7 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
 def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_step,
           fmt, out, show_db):
     """Sweep beta1 and report the fixed-distance ratio along the grid."""
-    scenario = _load_scenario(scenario_source)
-    _check_scenario(scenario)
+    scenario = _load_checked_scenario(scenario_source)
     kind = LayoutKind(layout_name)
     mode = NeighborMode.ADJACENT if neighbors == "on" else NeighborMode.NONE
     try:
@@ -277,28 +254,10 @@ def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_st
         sys.exit(2)
 
     headers = ["beta1", "delta_pr_fx"] + (["delta_pr_fx_db"] if show_db else [])
-    if fmt == "json":
-        payload = []
-        for b, value in series:
-            obj = {
-                "scenario": scenario.id,
-                "layout": kind.value,
-                "mode": mode.value,
-                "beta1": _json_number(b),
-                "delta_pr_fx": _json_number(value),
-            }
-            if show_db:
-                obj["delta_pr_fx_db"] = _json_number(_db(value))
-            payload.append(obj)
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        fmt_num = _fmt9 if fmt == "csv" else _fmt4
-        rows = [
-            [fmt_num(b), fmt_num(v)] + ([fmt_num(_db(v))] if show_db else [])
-            for b, v in series
-        ]
-        text = _render_csv(headers, rows) if fmt == "csv" else _render_table(headers, rows, 0)
-        _emit(text, out)
+    rows = [[b, v] + ([_db(v)] if show_db else []) for b, v in series]
+    objects = [{"scenario": scenario.id, "layout": kind.value, "mode": mode.value,
+                **dict(zip(headers, row))} for row in rows]
+    _emit_records(fmt, out, headers, rows, objects)
 
 
 @main.command()
@@ -312,9 +271,7 @@ def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_st
               help="Pixel size in meters.")
 @click.option("--out", type=click.Path(), default="field.csv", show_default=True,
               help="Path of the CSV field export.")
-@click.option("--seed", type=int, default=None,
-              help="Accepted for scripted uniformity; the simulator is deterministic.")
-def simulate(scenario_source, which, layout_name, rings, resolution, out, seed):
+def simulate(scenario_source, which, layout_name, rings, resolution, out):
     """Simulate the received-power field on an actual site lattice.
 
     Writes the per-pixel CSV and prints a summary: pixel counts, the empirical
@@ -336,19 +293,19 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out, seed):
     if not central.any():
         # Nothing to average or to check: the summary would print NaN and a
         # vacuous "0 violations".
-        click.echo(f"error: resolution {_fmt9(resolution)} m leaves no usable pixel in "
+        click.echo(f"error: resolution {resolution:.9g} m leaves no usable pixel in "
                    f"the central cell (pixels: {fld.n_pixels}, excluded: {fld.n_excluded})",
                    err=True)
         sys.exit(2)
     emp_alpha = float(fld.serving_distance[central].mean() / dep.d_max)
     _emit(export_field_csv(fld), out)
 
-    click.echo(f"layout: {kind.value}  d_max: {_fmt9(dep.d_max)} m  "
-               f"rings: {rings}  resolution: {_fmt9(resolution)} m")
+    click.echo(f"layout: {kind.value}  d_max: {dep.d_max:.9g} m  "
+               f"rings: {rings}  resolution: {resolution:.9g} m")
     click.echo(f"sites: {len(lattice.sites)}  pixels: {fld.n_pixels}  "
                f"excluded: {fld.n_excluded}")
-    click.echo(f"empirical alpha: {_fmt9(emp_alpha)}  "
-               f"(closed form {_fmt9(Layout(kind).alpha)})")
+    click.echo(f"empirical alpha: {emp_alpha:.9g}  "
+               f"(closed form {Layout(kind).alpha:.9g})")
     click.echo(f"upper-bound violations: {len(violations)}")
     click.echo(f"field written to: {out}")
 

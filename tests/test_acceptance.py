@@ -178,7 +178,7 @@ def test_criterion_8_edge_closure():
 
 
 def test_criterion_9_byte_identical_outputs(run_cli, tmp_path):
-    """Repeated validate and seeded simulate runs are byte-identical."""
+    """Repeated validate and simulate runs are byte-identical."""
     validate_args = ["validate", "--samples", "300000", "--seed", "3"]
     first = run_cli(validate_args)
     second = run_cli(validate_args)
@@ -186,7 +186,7 @@ def test_criterion_9_byte_identical_outputs(run_cli, tmp_path):
     assert first.stdout == second.stdout
 
     simulate_args = ["simulate", "--layout", "hexagonal", "--rings", "2",
-                     "--resolution", "10", "--seed", "3", "--out", "field.csv"]
+                     "--resolution", "10", "--out", "field.csv"]
     sim_first = run_cli(simulate_args)
     assert sim_first.returncode == 0, sim_first.stderr
     csv_first = (tmp_path / "field.csv").read_bytes()

@@ -233,6 +233,29 @@ def test_sweep_refuses_grid_over_point_budget(step):
     assert "point budget MAX_SWEEP_POINTS = 100000" in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["compare", "--layout", "square"],
+    ["sweep", "--layout", "square", "--beta-start", "0.1", "--beta-end", "0.2",
+     "--beta-step", "0.1"],
+    ["simulate", "--layout", "square", "--resolution", "50"],
+], ids=["compare", "sweep", "simulate"])
+def test_implausible_gamma_is_reported_once(run_cli, tmp_path, args):
+    """`compare` and `sweep` report it through the scenario validator only;
+    `simulate`, which does not validate, keeps the constructor's warning."""
+    scenario = {
+        "id": "G7",
+        "deployment1": {"d_max_m": 500, "p_r_th": 1, "gamma": 7, "f_mhz": 700},
+        "deployment2": {"d_max_m": 250, "p_r_th": 1, "gamma": 3, "f_mhz": 700},
+    }
+    (tmp_path / "g7.json").write_text(json.dumps(scenario), encoding="utf-8")
+    proc = run_cli([args[0], "--scenario", "g7.json", *args[1:]])
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.decode().splitlines() if "gamma" in line]
+    assert len(lines) == 1, proc.stderr
+    if args[0] != "simulate":
+        assert lines[0].startswith("warning: deployment1.gamma: gamma = 7.0 ")
+
+
 # -- simulate ------------------------------------------------------------------
 
 
@@ -306,6 +329,15 @@ def test_simulate_pixel_on_a_site_is_silent_under_warnings_as_errors(tmp_path, c
     assert proc.stderr == b""
     assert b"excluded: 1\n" in proc.stdout
     assert "\n0,0,0,0,,,1\n" in (tmp_path / "field.csv").read_text()
+
+
+def test_simulate_has_no_seed_option(tmp_path):
+    """The simulator is deterministic, so it takes no seed."""
+    result = invoke("simulate", "--layout", "hexagonal", "--seed", "1",
+                    "--out", str(tmp_path / "f.csv"))
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_simulate_second_deployment_uses_its_d_max(tmp_path):
@@ -392,7 +424,7 @@ def test_validate_runs_are_byte_identical(run_cli):
 
 def test_seeded_simulate_runs_are_byte_identical(run_cli, tmp_path):
     args = ["simulate", "--layout", "hexagonal", "--rings", "2",
-            "--resolution", "25", "--seed", "11", "--out", "field.csv"]
+            "--resolution", "25", "--out", "field.csv"]
     first = run_cli(args)
     assert first.returncode == 0, first.stderr
     csv_first = (tmp_path / "field.csv").read_bytes()
