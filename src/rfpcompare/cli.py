@@ -278,7 +278,12 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     mean serving distance (as a fraction of d_max), and the number of
     neighbor-upper-bound violations (expected: zero for rings >= 2).
     """
-    scenario = _load_scenario(scenario_source)
+    # Unvalidated: report the constructors' warnings without a source location.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PlausibilityWarning)
+        scenario = _load_scenario(scenario_source)
+    for w in caught:
+        click.echo(f"warning: {w.message}", err=True)
     dep = scenario.dep1 if which == "1" else scenario.dep2
     kind = LayoutKind(layout_name)
     try:

@@ -14,6 +14,7 @@ centered on the site. Conventions, fixed once so every module agrees:
 
 from __future__ import annotations
 
+import copy
 import math
 from enum import Enum
 
@@ -153,6 +154,7 @@ _BOUNDING_BOX = {
 }
 
 _MC_CHUNK = 1 << 20  # candidate points drawn per rejection round
+_MC_BLOCK = 1 << 16  # candidates drawn and masked at a time, so they stay in cache
 
 
 def estimate_alpha_monte_carlo(
@@ -167,9 +169,12 @@ def estimate_alpha_monte_carlo(
     estimate bit-for-bit on a given platform.
 
     Points are drawn and reduced one chunk of at most ``_MC_CHUNK`` candidates
-    at a time, so memory does not grow with ``n_samples``. Each chunk's count,
-    mean and centred sum of squares are merged into running totals with the
-    pairwise update of Chan, Golub & LeVeque (1979).
+    at a time, so memory does not grow with ``n_samples``. Its m x draws
+    precede its m y draws in the stream; both are taken ``_MC_BLOCK`` at a
+    time, the y from a copy of the generator advanced by m, and the accepted
+    squared distances gather in one buffer. Each chunk's count, mean and
+    centred sum of squares are merged into running totals with the pairwise
+    update of Chan, Golub & LeVeque (1979).
     """
     import numpy as np
     kind = LayoutKind(kind)
@@ -178,6 +183,7 @@ def estimate_alpha_monte_carlo(
     rng = np.random.default_rng(seed)
     if kind is not LayoutKind.HIGHWAY:
         (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
+        buf = np.empty(min(_MC_CHUNK, max(2 * n_samples, 4096)))
 
     count, mean, m2 = 0, 0.0, 0.0
     while count < n_samples:
@@ -187,14 +193,22 @@ def estimate_alpha_monte_carlo(
             np.abs(d, out=d)
         else:
             m = min(_MC_CHUNK, max(2 * remaining, 4096))
-            x = rng.uniform(x_lo, x_hi, m)
-            y = rng.uniform(y_lo, y_hi, m)
-            keep = contains_mask(kind, x, y)
-            np.multiply(x, x, out=x)
-            np.multiply(y, y, out=y)
-            np.add(x, y, out=x)
-            # The same gather as x[keep], several times faster for a chunk.
-            d = np.compress(keep, x)[:remaining]
+            y_rng = copy.deepcopy(rng)
+            y_rng.bit_generator.advance(m)
+            n = 0
+            for start in range(0, m, _MC_BLOCK):
+                size = min(_MC_BLOCK, m - start)
+                x = rng.uniform(x_lo, x_hi, size)
+                y = y_rng.uniform(y_lo, y_hi, size)
+                keep = contains_mask(kind, x, y)
+                np.multiply(x, x, out=x)
+                np.multiply(y, y, out=y)
+                np.add(x, y, out=x)
+                accepted = int(np.count_nonzero(keep))
+                np.compress(keep, x, out=buf[n:n + accepted])
+                n += accepted
+            rng = y_rng  # now 2m draws on, past both of the chunk's streams
+            d = buf[:min(n, remaining)]
             np.sqrt(d, out=d)
         n_chunk = d.size
         mean_chunk = float(d.mean())

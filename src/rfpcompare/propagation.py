@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .errors import (
     BetaOutOfRangeError,
@@ -86,22 +85,6 @@ def received_power(
 def emitted_power(dep: Deployment) -> float:
     """Emitted power that makes the received power at d_max exactly p_r_th."""
     return dep.p_r_th * dep.d_max**dep.gamma * dep.f**dep.eta * dep.c
-
-
-def rfp_at_pixel(
-    p_e: float,
-    serving_distance: float,
-    neighbor_distances: Sequence[float],
-    gamma: float,
-    f: float,
-    eta: float = 2.0,
-    c: float = 1.0,
-) -> float:
-    """Total received power at a pixel: serving term plus one term per neighbor."""
-    total = received_power(p_e, serving_distance, gamma, f, eta, c)
-    for d in neighbor_distances:
-        total += received_power(p_e, d, gamma, f, eta, c)
-    return total
 
 
 def neighbor_count(layout: Layout, mode: NeighborMode) -> int:

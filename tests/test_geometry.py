@@ -269,10 +269,55 @@ def full_array_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[floa
     return float(d.mean()), float(d.std(ddof=1) / math.sqrt(n_samples))
 
 
+def chunked_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, float]:
+    """The streamed estimator as it was before it drew in blocks: each chunk's
+    x and y drawn as whole arrays, one after the other, then masked, squared
+    and compressed at once. Same chunk statistics and merge."""
+    rng = np.random.default_rng(seed)
+    if kind is not LayoutKind.HIGHWAY:
+        (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < n_samples:
+        remaining = n_samples - count
+        if kind is LayoutKind.HIGHWAY:
+            d = rng.uniform(-1.0, 1.0, min(_MC_CHUNK, remaining))
+            np.abs(d, out=d)
+        else:
+            m = min(_MC_CHUNK, max(2 * remaining, 4096))
+            x = rng.uniform(x_lo, x_hi, m)
+            y = rng.uniform(y_lo, y_hi, m)
+            keep = contains_mask(kind, x, y)
+            np.multiply(x, x, out=x)
+            np.multiply(y, y, out=y)
+            np.add(x, y, out=x)
+            d = np.compress(keep, x)[:remaining]
+            np.sqrt(d, out=d)
+        n_chunk = d.size
+        mean_chunk = float(d.mean())
+        d -= mean_chunk
+        total = count + n_chunk
+        delta = mean_chunk - mean
+        mean += delta * n_chunk / total
+        m2 += float(np.dot(d, d)) + delta * delta * count * n_chunk / total
+        count = total
+    return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+
+
+MC_SIZES = [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17]
+
+
 @pytest.mark.parametrize("kind", list(LayoutKind))
-@pytest.mark.parametrize(
-    "n_samples", [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17]
-)
+@pytest.mark.parametrize("n_samples", MC_SIZES)
+@pytest.mark.parametrize("seed", [0, 58121])
+def test_monte_carlo_blocks_are_bit_identical_to_whole_chunks(kind, n_samples, seed):
+    """Drawing each chunk in blocks, with y from an advanced copy of the
+    stream, keeps every draw and every bit of the estimate."""
+    result = estimate_alpha_monte_carlo(kind, n_samples, seed)
+    assert result == chunked_oracle(kind, n_samples, seed)
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+@pytest.mark.parametrize("n_samples", MC_SIZES)
 def test_monte_carlo_matches_full_array_oracle(kind, n_samples):
     """Exact chunk multiples and short last chunks give the oracle's numbers."""
     estimate, stderr = estimate_alpha_monte_carlo(kind, n_samples, 31)
@@ -295,10 +340,10 @@ def test_monte_carlo_memory_does_not_grow_with_samples(kind):
 
 @pytest.mark.parametrize("kind", list(LayoutKind))
 def test_monte_carlo_frees_each_chunk_before_the_next(kind):
-    """A chunk's peak is x, y and two temporaries of _MC_CHUNK doubles plus
-    masks: under 4.5 arrays. Keeping the previous chunk's distances alive while
-    the next is drawn adds a fifth (39-41 MiB at 4e6 samples) and, in a whole
-    `validate`, fragmented the heap for up to 20 MB more peak RSS."""
+    """A chunk's peak is one buffer of _MC_CHUNK squared distances plus one
+    block's draws, masks and temporaries. Keeping the previous chunk's
+    distances alive while the next is drawn adds a whole chunk array and, in a
+    whole `validate`, fragmented the heap for up to 20 MB more peak RSS."""
     tracemalloc.start()
     try:
         estimate_alpha_monte_carlo(kind, 4_000_000, 1)
@@ -306,6 +351,20 @@ def test_monte_carlo_frees_each_chunk_before_the_next(kind):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * _MC_CHUNK * 8, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+def test_monte_carlo_peak_is_one_chunk_buffer_plus_blocks(kind):
+    """4e6 samples peak below 1.5 chunk arrays (12 MiB): the chunk's distance
+    buffer (8 MiB) and one block's draws and temporaries. Whole-chunk x, y and
+    mask temporaries peaked at 33-35 MiB."""
+    tracemalloc.start()
+    try:
+        estimate_alpha_monte_carlo(kind, 4_000_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _MC_CHUNK * 8, f"{peak / 2**20:.1f} MiB"
 
 
 def test_monte_carlo_highway_close_to_half():

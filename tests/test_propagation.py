@@ -21,7 +21,6 @@ from rfpcompare import (
     TESSELLATING_KINDS,
     emitted_power,
     received_power,
-    rfp_at_pixel,
     rfp_avg,
     rfp_fixed,
     rfp_upper_bound,
@@ -84,20 +83,13 @@ def test_edge_closure_for_randomized_deployments():
 # -- composite pixel power ----------------------------------------------------
 
 
-def test_rfp_at_pixel_without_neighbors_is_the_serving_term():
-    assert rfp_at_pixel(1.0, 1.0, [], 3.0, 1.0, 2.0, 1.0) == 1.0
+def pixel_power(p_e, serving_distance, neighbor_distances, dep):
+    """Reference composite power: the serving term plus one term per neighbor."""
+    return sum(received_power(p_e, d, dep.gamma, dep.f, dep.eta, dep.c)
+               for d in [serving_distance, *neighbor_distances])
 
 
-def test_rfp_at_pixel_symmetric_neighbors():
-    assert rfp_at_pixel(1.0, 1.0, [1.0, 1.0], 3.0, 1.0, 2.0, 1.0) == 3.0
-
-
-def test_rfp_at_pixel_rejects_bad_neighbor_distance():
-    with pytest.raises(SingularDistanceError):
-        rfp_at_pixel(1.0, 1.0, [1.0, 0.0], 3.0, 1.0)
-
-
-def test_rfp_at_pixel_below_upper_bound_for_random_geometry():
+def test_pixel_power_below_upper_bound_for_random_geometry():
     """Term-wise monotonicity: true pixel power never exceeds the bound."""
     rng = np.random.default_rng(2718)
     for _ in range(200):
@@ -108,9 +100,7 @@ def test_rfp_at_pixel_below_upper_bound_for_random_geometry():
         neighbors = [
             float(rng.uniform(1.0, 4.0)) * limit for _ in range(int(rng.integers(0, 9)))
         ]
-        exact = rfp_at_pixel(
-            emitted_power(dep), d_s, neighbors, dep.gamma, dep.f, dep.eta, dep.c
-        )
+        exact = pixel_power(emitted_power(dep), d_s, neighbors, dep)
         bound = rfp_upper_bound(dep, d_s, layout, len(neighbors))
         assert exact <= bound * (1 + 1e-12)
 
@@ -178,14 +168,11 @@ def test_rfp_avg_equals_pixel_evaluation():
         for _ in range(20):
             dep = random_deployment(rng)
             for mode, n_i in ((NeighborMode.NONE, 0), (NeighborMode.ADJACENT, layout.n_neighbors)):
-                via_pixel = rfp_at_pixel(
+                via_pixel = pixel_power(
                     emitted_power(dep),
                     layout.alpha * dep.d_max,
                     [layout.zeta * dep.d_max] * n_i,
-                    dep.gamma,
-                    dep.f,
-                    dep.eta,
-                    dep.c,
+                    dep,
                 )
                 assert rfp_avg(dep, layout, mode) == pytest.approx(via_pixel, rel=1e-12)
 
