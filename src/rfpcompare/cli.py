@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import click
@@ -24,7 +25,13 @@ from . import __version__
 from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair
 from .errors import PlausibilityWarning, RfpError
 from .geometry import Layout, LayoutKind, TESSELLATING_KINDS
-from .gridsim import compute_field, export_field_csv, generate_sites, verify_upper_bound
+from .gridsim import (
+    compute_field,
+    export_field_csv,
+    field_bands,
+    generate_sites,
+    verify_upper_bound,
+)
 from .propagation import NeighborMode
 from .scenarios import (
     Scenario,
@@ -83,15 +90,23 @@ def _load_checked_scenario(source: str) -> Scenario:
     return scenario
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the text pieces in turn to stdout, or to the file ``out``.
+
+    The file is opened once, before the first piece is made. A failed open or
+    write exits 1; a write that fails part way leaves a partial file.
+    """
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        try:
-            Path(out).write_text(text, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            click.echo(f"error: cannot write {out!r}: {exc}", err=True)
-            sys.exit(1)
+        for piece in pieces:
+            click.echo(piece, nl=False)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            for piece in pieces:
+                fh.write(piece)
+    except OSError as exc:
+        click.echo(f"error: cannot write {out!r}: {exc}", err=True)
+        sys.exit(1)
 
 
 def _pin(value):
@@ -116,7 +131,7 @@ def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list
     ``null`` in JSON.
     """
     if fmt == "json":
-        _emit(json.dumps(_pin(objects), indent=2) + "\n", out)
+        _emit([json.dumps(_pin(objects), indent=2) + "\n"], out)
         return
     digits = 9 if fmt == "csv" else 4
     lines = [headers] + [
@@ -124,7 +139,7 @@ def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list
         for row in rows
     ]
     if fmt == "csv":
-        _emit("".join(",".join(cells) + "\n" for cells in lines), out)
+        _emit(["".join(",".join(cells) + "\n" for cells in lines)], out)
         return
     columns = range(len(headers))
     widths = [max(len(cells[i]) for cells in lines) for i in columns]
@@ -135,7 +150,7 @@ def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list
                   for c, w, text in zip(cells, widths, text_columns))
         for cells in lines
     )
-    _emit("".join(line.rstrip() + "\n" for line in aligned), out)
+    _emit(["".join(line.rstrip() + "\n" for line in aligned)], out)
 
 
 @click.group()
@@ -303,7 +318,9 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
                    err=True)
         sys.exit(2)
     emp_alpha = float(fld.serving_distance[central].mean() / dep.d_max)
-    _emit(export_field_csv(fld), out)
+    # Band by band, so that the CSV text is never held whole.
+    _emit((export_field_csv(band, header=i == 0) for i, band in enumerate(field_bands(fld))),
+          out)
 
     click.echo(f"layout: {kind.value}  d_max: {dep.d_max:.9g} m  "
                f"rings: {rings}  resolution: {resolution:.9g} m")

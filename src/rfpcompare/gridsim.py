@@ -13,9 +13,11 @@ the positive x axis). The highway is sampled as a 1-D strip on the site line.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -128,13 +130,25 @@ def default_region(lattice: SiteLattice) -> Region:
 
 #: Largest grid that ``compute_field`` and ``empirical_alpha`` accept: four
 #: times the 1,047,200 pixels of a 1 m hexagonal field. A field costs 33 bytes
-#: per pixel in arrays and about 55 more as CSV text.
+#: per pixel in arrays; its CSV text and bound check take one band of
+#: ``TILE_PIXELS`` pixels at a time (``field_bands``).
 MAX_FIELD_PIXELS = 2**22
 
-#: Pixels per tile of the field kernel. The worker that sweeps a tile has its
-#: own working buffers for it (~130 kB each), which stay in cache while every
-#: site is swept over them.
+#: Pixels per tile of the field kernel, and per band of the CSV export and
+#: the bound check. The worker that sweeps a tile has its own working buffers
+#: for it (~130 kB each), which stay in cache while every site is swept over
+#: them.
 TILE_PIXELS = 2**14
+
+
+def _tile_shape(nx: int) -> tuple[int, int]:
+    """Rows and columns of a tile over a grid ``nx`` pixels wide.
+
+    A tile spans whole rows, ``TILE_PIXELS // nx`` of them, unless one row
+    exceeds the budget; then it is one row high and the columns are split too.
+    """
+    width = max(1, min(nx, TILE_PIXELS))
+    return TILE_PIXELS // width, width
 
 
 def _usable_cpus() -> int:
@@ -197,10 +211,7 @@ def _site_sweep(
     sites_x = lattice.sites[:, :1]
     dy2 = (ys - lattice.sites[:, 1:]) ** 2  # (sites, ny)
 
-    # A tile spans whole rows unless one row exceeds the budget; then it is
-    # one row high and the columns are split too.
-    width = max(1, min(len(xs), TILE_PIXELS))
-    height = TILE_PIXELS // width
+    height, width = _tile_shape(len(xs))
     # numpy's error state is thread-local, so workers re-enter the caller's.
     errstate = np.geterr()
 
@@ -288,9 +299,11 @@ def compute_field(
     scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
     with np.errstate(divide="ignore"):
         serving_id, min_d2, total = _site_sweep(lattice, xs, ys, dep.gamma, scale)
-        serving_d = np.sqrt(min_d2)
+        # In place where the bits allow: no full-grid temporaries.
+        serving_d = np.sqrt(min_d2, out=min_d2)
         excluded = serving_d < resolution / 2.0
-        serving_power = scale * serving_d**-dep.gamma
+        serving_power = serving_d**-dep.gamma
+        serving_power *= scale
 
     serving_power[excluded] = np.nan
     total[excluded] = np.nan
@@ -306,6 +319,31 @@ def compute_field(
         rfp_total=total,
         excluded=excluded,
     )
+
+
+def field_bands(field: RfpField) -> Iterator[RfpField]:
+    """The field in row-major bands of at most ``TILE_PIXELS`` pixels.
+
+    A band is one kernel tile: whole rows, or a piece of one row where a row
+    is wider than ``TILE_PIXELS``. Its arrays are views of the field's; its
+    lattice, resolution and region are the whole field's. A field without
+    pixels still gives a band (an empty one).
+    """
+    height, width = _tile_shape(len(field.xs))
+    for r0 in range(0, max(1, len(field.ys)), height):
+        rows = slice(r0, r0 + height)
+        for c0 in range(0, max(1, len(field.xs)), width):
+            cols = slice(c0, c0 + width)
+            yield dataclasses.replace(
+                field,
+                xs=field.xs[cols],
+                ys=field.ys[rows],
+                serving_site=field.serving_site[rows, cols],
+                serving_distance=field.serving_distance[rows, cols],
+                rfp_serving=field.rfp_serving[rows, cols],
+                rfp_total=field.rfp_total[rows, cols],
+                excluded=field.excluded[rows, cols],
+            )
 
 
 @dataclass(frozen=True)
@@ -333,6 +371,8 @@ def verify_upper_bound(
     (default: the lattice's first-ring site count). A lattice with two or more
     rings is expected to produce no violations; passing a deliberately small
     ``n_i`` (or a single-ring lattice with n_i = 0) is the negative control.
+    The check runs band by band (``field_bands``); violations come in
+    row-major order.
     """
     import numpy as np
     if layout.kind is not field.lattice.kind:
@@ -349,26 +389,24 @@ def verify_upper_bound(
         n_i = field.lattice.n_first_ring
 
     limit = layout.zeta * dep.d_max
-    checked = field.central_cell & (field.serving_distance <= limit)
     scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
-    with np.errstate(divide="ignore"):  # excluded pixels may sit on a site
-        bound = (
-            scale * field.serving_distance**-dep.gamma
-            + n_i * scale * limit**-dep.gamma
-        )
-    bad = checked & (field.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK))
-
+    neighbor_term = n_i * scale * limit**-dep.gamma
     violations = []
-    for iy, ix in np.argwhere(bad):
-        violations.append(
-            UpperBoundViolation(
-                x_m=float(field.xs[ix]),
-                y_m=float(field.ys[iy]),
-                serving_distance_m=float(field.serving_distance[iy, ix]),
-                rfp_total=float(field.rfp_total[iy, ix]),
-                bound=float(bound[iy, ix]),
+    for band in field_bands(field):
+        checked = band.central_cell & (band.serving_distance <= limit)
+        with np.errstate(divide="ignore"):  # excluded pixels may sit on a site
+            bound = scale * band.serving_distance**-dep.gamma + neighbor_term
+        bad = checked & (band.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK))
+        for iy, ix in np.argwhere(bad):
+            violations.append(
+                UpperBoundViolation(
+                    x_m=float(band.xs[ix]),
+                    y_m=float(band.ys[iy]),
+                    serving_distance_m=float(band.serving_distance[iy, ix]),
+                    rfp_total=float(band.rfp_total[iy, ix]),
+                    bound=float(bound[iy, ix]),
+                )
             )
-        )
     return violations
 
 
@@ -389,34 +427,34 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
     return float(np.sqrt(min_d2[central]).mean() / lattice.d_max)
 
 
-def export_field_csv(field: RfpField) -> str:
+def export_field_csv(field: RfpField, *, header: bool = True) -> str:
     """Render the field as CSV, row-major by y then x.
 
     Floating values carry 9 significant digits; excluded pixels leave the two
-    power columns empty and set the flag column to 1.
+    power columns empty and set the flag column to 1. The texts of
+    ``field_bands(field)``, only the first with the header line, join to the
+    text of the whole field.
     """
     buf = io.StringIO()
-    buf.write("x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n")
-    # Every row repeats the same x values: format them once. A row (or, in a
-    # strip wider than one tile, a tile-wide piece of it) without excluded
+    if header:
+        buf.write("x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n")
+    # Band by band, so that no row is wider than one tile. The rows of a band
+    # repeat the same x values: format them once. A row without excluded
     # pixels fills one template from a list holding each pixel's six fields
     # in turn; one with an excluded pixel goes cell by cell.
-    x_cells = [f"{x:.9g}," for x in field.xs.tolist()]
-    width = max(1, min(len(x_cells), TILE_PIXELS))
-    cell = "%s%s,%d,%.9g,%.9g,%.9g,0\n"
-    template = cell * width
-    for iy, y in enumerate(field.ys.tolist()):
-        y_cell = f"{y:.9g}"
-        for c0 in range(0, len(x_cells), width):
-            cols = slice(c0, c0 + width)
+    for band in field_bands(field):
+        x_cells = [f"{x:.9g}," for x in band.xs.tolist()]
+        template = "%s%s,%d,%.9g,%.9g,%.9g,0\n" * len(x_cells)
+        for iy, y in enumerate(band.ys.tolist()):
+            y_cell = f"{y:.9g}"
             columns = (
-                x_cells[cols],
-                field.serving_site[iy, cols].tolist(),
-                field.serving_distance[iy, cols].tolist(),
-                field.rfp_serving[iy, cols].tolist(),
-                field.rfp_total[iy, cols].tolist(),
+                x_cells,
+                band.serving_site[iy].tolist(),
+                band.serving_distance[iy].tolist(),
+                band.rfp_serving[iy].tolist(),
+                band.rfp_total[iy].tolist(),
             )
-            excluded = field.excluded[iy, cols]
+            excluded = band.excluded[iy]
             if excluded.any():
                 buf.write("".join([
                     f"{x}{y_cell},{sid},{d:.9g},,,1\n" if ex
@@ -424,8 +462,7 @@ def export_field_csv(field: RfpField) -> str:
                     for x, sid, d, rs, rt, ex in zip(*columns, excluded.tolist())
                 ]))
                 continue
-            n = len(columns[0])
-            fields: list = [y_cell] * (6 * n)
+            fields: list = [y_cell] * (6 * len(x_cells))
             fields[0::6], fields[2::6], fields[3::6], fields[4::6], fields[5::6] = columns
-            buf.write((template if n == width else cell * n) % tuple(fields))
+            buf.write(template % tuple(fields))
     return buf.getvalue()

@@ -6,14 +6,18 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+import rfpcompare.gridsim as gridsim
 import rfpcompare.selfcheck as selfcheck
 from rfpcompare import (
     LayoutKind,
     builtin_scenario,
+    compute_field,
+    generate_sites,
     layout_alpha,
     run_validation,
     serialize_scenario,
@@ -283,6 +287,33 @@ def test_simulate_write_failure_exits_1(tmp_path):
     result = invoke("simulate", "--layout", "highway", "--resolution", "10",
                     "--out", str(tmp_path / "missing_dir" / "f.csv"))
     assert result.exit_code == 1
+    assert result.stderr.startswith("error: cannot write")
+    assert result.stdout == ""
+
+
+def test_simulate_writes_the_csv_band_by_band(tmp_path, monkeypatch):
+    """``simulate`` writes the bytes of the whole-field export, one band at a
+    time: the traced peak of the command stays below the field's arrays plus
+    half the CSV's size. Bands of 2**11 pixels make one band a small share of
+    the CSV on a grid small enough for tracemalloc."""
+    monkeypatch.setattr(gridsim, "TILE_PIXELS", 2**11)
+    dep = builtin_scenario("S1").dep1
+    # Computed untraced: the reference export, the arrays' size, and numpy
+    # imported before tracing starts.
+    fld = compute_field(generate_sites(LayoutKind.HEXAGONAL, dep.d_max, 2), dep, 5.0)
+    field_bytes = sum(getattr(fld, name).nbytes for name in (
+        "xs", "ys", "serving_site", "serving_distance", "rfp_serving", "rfp_total", "excluded"))
+    out = tmp_path / "field.csv"
+    tracemalloc.start()
+    try:
+        result = invoke("simulate", "--layout", "hexagonal", "--rings", "2",
+                        "--resolution", "5", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert out.read_text(encoding="utf-8") == gridsim.export_field_csv(fld)
+    assert peak < field_bytes + 0.5 * out.stat().st_size
 
 
 @pytest.mark.parametrize("layout,resolution,pixels", [

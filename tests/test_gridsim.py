@@ -34,7 +34,14 @@ from rfpcompare import (
     rfp_upper_bound,
     verify_upper_bound,
 )
-from rfpcompare.gridsim import MAX_FIELD_PIXELS, TILE_PIXELS, RfpField
+from rfpcompare.gridsim import (
+    MAX_FIELD_PIXELS,
+    TILE_PIXELS,
+    UPPER_BOUND_SLACK,
+    RfpField,
+    UpperBoundViolation,
+    field_bands,
+)
 from rfpcompare.propagation import emitted_power
 
 SQRT3 = math.sqrt(3.0)
@@ -493,6 +500,50 @@ def test_upper_bound_checks_only_the_validity_region():
     assert all(v.serving_distance_m <= limit for v in violations)
 
 
+def whole_grid_bound_oracle(field, dep, layout, n_i):
+    """Reference for ``verify_upper_bound``: the bound over the whole grid at once."""
+    limit = layout.zeta * dep.d_max
+    checked = field.central_cell & (field.serving_distance <= limit)
+    scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
+    with np.errstate(divide="ignore"):
+        bound = (
+            scale * field.serving_distance**-dep.gamma
+            + n_i * scale * limit**-dep.gamma
+        )
+    bad = checked & (field.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK))
+    return [
+        UpperBoundViolation(
+            x_m=float(field.xs[ix]),
+            y_m=float(field.ys[iy]),
+            serving_distance_m=float(field.serving_distance[iy, ix]),
+            rfp_total=float(field.rfp_total[iy, ix]),
+            bound=float(bound[iy, ix]),
+        )
+        for iy, ix in np.argwhere(bad)
+    ]
+
+
+@pytest.mark.parametrize("kind,rings,resolution", [
+    (LayoutKind.HEXAGONAL, 1, 5.0),  # three row bands
+    (LayoutKind.SQUARE, 2, 5.0),  # two row bands
+    (LayoutKind.HIGHWAY, 1, 0.05),  # one row in two column bands
+])
+@pytest.mark.parametrize("n_i", [0, 3, None])
+def test_banded_bound_check_matches_whole_grid_oracle(kind, rings, resolution, n_i):
+    lattice = generate_sites(kind, 500.0, rings)
+    fld = compute_field(lattice, S1_DEP1, resolution)
+    layout = Layout(kind)
+    bands = list(field_bands(fld))
+    assert len(bands) > 1
+    violations = verify_upper_bound(fld, S1_DEP1, layout, n_i=n_i)
+    expected_n_i = lattice.n_first_ring if n_i is None else n_i
+    assert violations == whole_grid_bound_oracle(fld, S1_DEP1, layout, expected_n_i)
+    if n_i == 0:
+        per_band = [verify_upper_bound(band, S1_DEP1, layout, n_i=0) for band in bands]
+        assert sum(1 for found in per_band if found) > 1  # spread over several bands
+        assert [v for found in per_band for v in found] == violations
+
+
 def test_upper_bound_rejects_mismatched_inputs():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 2)
     fld = compute_field(lattice, S1_DEP1, resolution=25.0)
@@ -568,9 +619,12 @@ def test_export_header_and_row_order():
 
 def test_export_empty_region_is_header_only():
     lattice = single_site_lattice(LayoutKind.SQUARE, 500.0)
-    fld = compute_field(lattice, S1_DEP1, 10.0, region=Region(50.0, 50.0, 0.0, 100.0))
-    assert fld.n_pixels == 0
-    assert export_field_csv(fld) == CSV_HEADER + "\n"
+    # No column, then no row.
+    for region in (Region(50.0, 50.0, 0.0, 100.0), Region(0.0, 100.0, 0.0, 5.0)):
+        fld = compute_field(lattice, S1_DEP1, 10.0, region=region)
+        assert fld.n_pixels == 0
+        assert export_field_csv(fld) == CSV_HEADER + "\n"
+        assert banded_csv(fld) == CSV_HEADER + "\n"
 
 
 def test_export_round_trip_to_9_significant_digits():
@@ -632,17 +686,48 @@ def synthetic_field(nx: int, ny: int, excluded_at: list[tuple[int, int]]) -> Rfp
     )
 
 
-@pytest.mark.parametrize("nx,ny,excluded_at", [
-    (37, 11, [(0, 3), (5, 0), (5, 36), (10, 20)]),  # first, middle and last rows
-    (37, 11, []),
-    (53, 1, [(0, 52)]),  # a 1-row strip
-    (1, 29, [(0, 0), (14, 0)]),  # a 1-column grid
-    (2 * TILE_PIXELS + 5, 1, [(0, TILE_PIXELS + 2)]),  # a strip split into three pieces
-    (2 * TILE_PIXELS + 5, 1, []),
-], ids=["grid", "grid-none-excluded", "row", "column", "wide-strip", "wide-strip-none-excluded"])
+#: Synthetic fields by name: (nx, ny, excluded pixels as (row, column)).
+EXPORT_FIELDS = {
+    "grid": (37, 11, [(0, 3), (5, 0), (5, 36), (10, 20)]),  # first, middle and last rows
+    "grid-none-excluded": (37, 11, []),
+    "row": (53, 1, [(0, 52)]),  # a 1-row strip
+    "column": (1, 29, [(0, 0), (14, 0)]),  # a 1-column grid
+    "wide-strip": (2 * TILE_PIXELS + 5, 1, [(0, TILE_PIXELS + 2)]),  # split into three pieces
+    "wide-strip-none-excluded": (2 * TILE_PIXELS + 5, 1, []),
+}
+BAND_ROWS = TILE_PIXELS // 37  # rows per band of a 37-pixel-wide grid
+#: Fields of several bands, with excluded pixels in the first and last rows of bands.
+BANDED_FIELDS = {
+    **EXPORT_FIELDS,
+    "three-bands": (37, 2 * BAND_ROWS + 3, [(0, 0), (BAND_ROWS - 1, 36), (BAND_ROWS, 0),
+                                             (2 * BAND_ROWS - 1, 20), (2 * BAND_ROWS, 5)]),
+    "wide-rows": (TILE_PIXELS + 3, 2, [(0, TILE_PIXELS - 1), (0, TILE_PIXELS), (1, 0)]),
+    "long-column": (1, TILE_PIXELS + 7, [(TILE_PIXELS - 1, 0), (TILE_PIXELS, 0)]),
+}
+
+
+@pytest.mark.parametrize("nx,ny,excluded_at", EXPORT_FIELDS.values(), ids=list(EXPORT_FIELDS))
 def test_export_matches_per_cell_oracle(nx, ny, excluded_at):
     fld = synthetic_field(nx, ny, excluded_at)
     assert export_field_csv(fld) == per_cell_oracle(fld)
+
+
+def banded_csv(fld) -> str:
+    """The CSV as ``simulate`` writes it: band by band, the header first."""
+    return "".join(export_field_csv(band, header=i == 0)
+                   for i, band in enumerate(field_bands(fld)))
+
+
+@pytest.mark.parametrize("nx,ny,excluded_at", BANDED_FIELDS.values(), ids=list(BANDED_FIELDS))
+def test_banded_export_joins_to_the_whole_export(nx, ny, excluded_at):
+    fld = synthetic_field(nx, ny, excluded_at)
+    bands = list(field_bands(fld))
+    assert sum(band.n_pixels for band in bands) == fld.n_pixels
+    assert all(0 < band.n_pixels <= TILE_PIXELS for band in bands)
+    assert all(np.shares_memory(band.rfp_total, fld.rfp_total) for band in bands)
+    text = banded_csv(fld)
+    assert text == export_field_csv(fld)
+    assert text.startswith(CSV_HEADER + "\n") and text.count(CSV_HEADER) == 1
 
 
 def test_export_uses_lf_and_9_digit_precision():
