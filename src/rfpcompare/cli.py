@@ -22,9 +22,9 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair
+from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair, sweep_beta
 from .errors import PlausibilityWarning, RfpError
-from .geometry import Layout, LayoutKind, TESSELLATING_KINDS
+from .geometry import LayoutKind, TESSELLATING_KINDS
 from .gridsim import (
     compute_field,
     export_field_csv,
@@ -38,7 +38,6 @@ from .scenarios import (
     builtin_scenario,
     builtin_scenario_ids,
     parse_scenario_file,
-    sweep_beta,
     validate_scenario,
 )
 from .selfcheck import DEFAULT_MC_SAMPLES, DEFAULT_SEED, run_validation
@@ -60,7 +59,7 @@ def _load_scenario(source: str) -> Scenario:
     if path.exists():
         try:
             return parse_scenario_file(path.read_text(encoding="utf-8"))
-        except RfpError as exc:
+        except (RfpError, OSError, UnicodeDecodeError) as exc:
             raise click.UsageError(f"invalid scenario file {source!r}: {exc}")
     raise click.UsageError(
         f"scenario {source!r} is neither a built-in id "
@@ -216,8 +215,7 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
 
     rows, objects = [], []
     try:
-        for kind in layouts:
-            layout = Layout(kind)
+        for layout in layouts:
             for mode in modes:
                 if mode is NeighborMode.ADJACENT and not layout.tessellates:
                     continue
@@ -231,13 +229,13 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
                     rel_diff = max(abs(c - r) / abs(r) for c, r in zip(closed, ratios))
                 if show_db:
                     ratios += [_db(r) for r in ratios]
-                row = [scenario.id, kind.value, mode.value, *ratios]
+                row = [scenario.id, layout.value, mode.value, *ratios]
                 obj = dict(zip(headers, row))
                 obj["closed_form"] = None if closed is None else dict(zip(ratio_keys, closed))
                 obj["relative_difference"] = rel_diff
                 rows.append(row + (closed or [None] * 3) + [rel_diff])
                 objects.append(obj)
-    except RfpError as exc:
+    except (RfpError, OverflowError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     if not rows:
@@ -304,8 +302,8 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     try:
         lattice = generate_sites(kind, dep.d_max, rings)
         fld = compute_field(lattice, dep, resolution)
-        violations = verify_upper_bound(fld, dep, Layout(kind))
-    except (RfpError, ValueError) as exc:
+        violations = verify_upper_bound(fld, dep, kind)
+    except (RfpError, ValueError, OverflowError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -327,7 +325,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     click.echo(f"sites: {len(lattice.sites)}  pixels: {fld.n_pixels}  "
                f"excluded: {fld.n_excluded}")
     click.echo(f"empirical alpha: {emp_alpha:.9g}  "
-               f"(closed form {Layout(kind).alpha:.9g})")
+               f"(closed form {kind.alpha:.9g})")
     click.echo(f"upper-bound violations: {len(violations)}")
     click.echo(f"field written to: {out}")
 

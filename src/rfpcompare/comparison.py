@@ -1,6 +1,6 @@
 """Deployment-pair ratios: emitted power and received power at average and
-fixed distances, plus the per-scenario closed-form specializations and a
-cross-consistency verifier.
+fixed distances, beta sweeps of the fixed-distance ratio, plus the
+per-scenario closed-form specializations and a cross-consistency verifier.
 
 All ratios are deployment (1) over deployment (2) and computed in linear
 scale; a ratio above 1 means deployment (2) yields the lower value.
@@ -16,8 +16,9 @@ from .errors import (
     NoTessellationError,
     UnsupportedParameterChangeError,
 )
-from .geometry import Layout, LayoutKind, TESSELLATING_KINDS
-from .propagation import Deployment, NeighborMode, neighbor_count
+from .geometry import LayoutKind, TESSELLATING_KINDS
+from .propagation import Deployment, NeighborMode, _bracket, neighbor_count
+from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
 #: Relative tolerance for closed-form vs general-formula agreement.
 CLOSED_FORM_RTOL = 1e-12
@@ -36,7 +37,7 @@ class DeploymentPair:
 
     dep1: Deployment
     dep2: Deployment
-    layout: Layout
+    layout: LayoutKind
     beta1: float = 0.05
     mode: NeighborMode = NeighborMode.NONE
 
@@ -103,28 +104,20 @@ def delta_emitted(pair: DeploymentPair) -> float:
 
 
 def delta_avg(pair: DeploymentPair) -> float:
-    """Received-power ratio at each deployment's own average distance."""
+    """Received-power ratio at each deployment's own average distance: the
+    quotient rfp_avg(1) / rfp_avg(2)."""
     layout, mode = pair.layout, pair.mode
-    n_i = neighbor_count(layout, mode)
-    g1, g2 = pair.dep1.gamma, pair.dep2.gamma
-    num = layout.alpha**-g1
-    den = layout.alpha**-g2
-    if n_i:
-        num += n_i * layout.zeta**-g1
-        den += n_i * layout.zeta**-g2
+    num = _bracket(layout.alpha, pair.dep1.gamma, layout, mode)
+    den = _bracket(layout.alpha, pair.dep2.gamma, layout, mode)
     return pair.delta_p_r_th * num / den
 
 
 def delta_fixed(pair: DeploymentPair) -> float:
-    """Received-power ratio at the same physical distance beta1 * d_max(1)."""
+    """Received-power ratio at the same physical distance beta1 * d_max(1):
+    the quotient rfp_fixed(1) at beta1 / rfp_fixed(2) at beta2."""
     layout, mode = pair.layout, pair.mode
-    n_i = neighbor_count(layout, mode)
-    g1, g2 = pair.dep1.gamma, pair.dep2.gamma
-    num = pair.beta1**-g1
-    den = pair.beta1**-g2 * pair.delta_d_max**-g2
-    if n_i:
-        num += n_i * layout.zeta**-g1
-        den += n_i * layout.zeta**-g2
+    num = _bracket(pair.beta1, pair.dep1.gamma, layout, mode)
+    den = _bracket(pair.beta2, pair.dep2.gamma, layout, mode)
     return pair.delta_p_r_th * num / den
 
 
@@ -151,7 +144,7 @@ def evaluate_pair(pair: DeploymentPair, scenario_id: str = "") -> ComparisonResu
     """Evaluate all three ratios of a pair from the general formulas."""
     return ComparisonResult(
         scenario_id=scenario_id,
-        layout_kind=pair.layout.kind,
+        layout_kind=pair.layout,
         mode=pair.mode,
         delta_pe=delta_emitted(pair),
         delta_pr_avg=delta_avg(pair),
@@ -162,7 +155,7 @@ def evaluate_pair(pair: DeploymentPair, scenario_id: str = "") -> ComparisonResu
 def closed_form_delta(
     scenario_id: str,
     metric: Metric,
-    layout: Layout,
+    layout: LayoutKind,
     mode: NeighborMode,
     beta1: float = 0.05,
 ) -> float:
@@ -173,9 +166,6 @@ def closed_form_delta(
     separate from the general formulas so that verify_closed_forms is a real
     cross-check and not a tautology.
     """
-    # Imported lazily: scenarios builds on this module for sweeps.
-    from .scenarios import builtin_scenario
-
     s = builtin_scenario(scenario_id)
     sid = s.id
     d1, d2 = s.dep1, s.dep2
@@ -259,13 +249,10 @@ def verify_closed_forms(
     The circle layout is only evaluable in neighbor-free mode; its
     adjacent-mode combinations are skipped.
     """
-    from .scenarios import builtin_scenario, builtin_scenario_ids
-
     checks: list[ClosedFormCheck] = []
     for sid in builtin_scenario_ids():
         s = builtin_scenario(sid)
-        for kind in layouts:
-            layout = Layout(kind)
+        for layout in layouts:
             for mode in modes:
                 if mode is NeighborMode.ADJACENT and not layout.tessellates:
                     continue
@@ -280,7 +267,7 @@ def verify_closed_forms(
                             ClosedFormCheck(
                                 scenario_id=sid,
                                 metric=metric,
-                                layout_kind=layout.kind,
+                                layout_kind=layout,
                                 mode=mode,
                                 beta1=beta1,
                                 closed_form=closed,
@@ -289,3 +276,71 @@ def verify_closed_forms(
                             )
                         )
     return checks
+
+
+def pair_for(
+    scenario: Scenario,
+    kind: LayoutKind,
+    mode: NeighborMode,
+    beta1: float | None = None,
+) -> DeploymentPair:
+    """Bind a scenario to a concrete layout and neighbor mode."""
+    return DeploymentPair(
+        dep1=scenario.dep1,
+        dep2=scenario.dep2,
+        layout=kind,
+        beta1=scenario.beta1 if beta1 is None else beta1,
+        mode=mode,
+    )
+
+
+# -- Beta sweeps -------------------------------------------------------------
+
+#: Most grid points a beta sweep may have; a finer step is refused before
+#: the grid is built.
+MAX_SWEEP_POINTS = 100_000
+
+
+def sweep_beta(
+    scenario: Scenario,
+    kind: LayoutKind,
+    mode: NeighborMode,
+    beta_start: float,
+    beta_end: float,
+    beta_step: float,
+) -> list[tuple[float, float]]:
+    """Fixed-distance ratio over an inclusive beta1 grid.
+
+    The grid runs from beta_start to beta_end in steps of beta_step, with both
+    endpoints included up to half-a-step tolerance. The whole range is checked
+    before evaluation: a grid point whose beta2 would exceed 1 aborts the
+    sweep naming the offending beta1, and a grid of more than
+    ``MAX_SWEEP_POINTS`` points is refused before it is built.
+    """
+    if not beta_step > 0:
+        raise ValueError(f"beta_step must be > 0, got {beta_step}")
+    if not 0 < beta_start <= beta_end:
+        raise ValueError(
+            f"need 0 < beta_start <= beta_end, got [{beta_start}, {beta_end}]"
+        )
+    # Checked as a float before int(): a subnormal step gives an infinite count.
+    n_steps = (beta_end - beta_start) / beta_step + 0.5
+    if not n_steps < MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"beta grid [{beta_start:g}, {beta_end:g}] in steps of {beta_step:g} needs "
+            f"about {n_steps + 0.5:.3g} points, over the point budget "
+            f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
+        )
+    n_points = int(n_steps) + 1
+    grid = [beta_start + k * beta_step for k in range(n_points)]
+
+    delta_d_max = scenario.dep1.d_max / scenario.dep2.d_max
+    for b in grid:
+        if not b < 1:
+            raise BetaOutOfRangeError(f"grid point beta1 = {b:.6g} must be below 1")
+        beta2 = b * delta_d_max
+        if beta2 > 1:
+            raise BetaOutOfRangeError(
+                f"grid point beta1 = {b:.6g} gives beta2 = {beta2:.6g} > 1"
+            )
+    return [(b, delta_fixed(pair_for(scenario, kind, mode, beta1=b))) for b in grid]

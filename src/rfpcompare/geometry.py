@@ -25,97 +25,66 @@ _SQRT3 = math.sqrt(3.0)
 
 
 class LayoutKind(str, Enum):
-    """The supported coverage-cell shapes."""
+    """The supported coverage-cell shapes and their exact constants.
+
+    ``alpha`` is defined for every kind; ``zeta`` and ``n_neighbors`` raise
+    :class:`NoTessellationError` for the circle, which does not tile.
+    """
 
     HIGHWAY = "highway"
     SQUARE = "square"
     HEXAGONAL = "hexagonal"
     CIRCLE = "circle"
 
-
-#: Kinds that tile the plane (the circle is a reference shape only).
-TESSELLATING_KINDS = (LayoutKind.HIGHWAY, LayoutKind.SQUARE, LayoutKind.HEXAGONAL)
-
-
-#: kind -> (alpha, zeta, neighbor count); the circle does not tile: alpha only.
-_CONSTANTS: dict[LayoutKind, tuple[float, float | None, int | None]] = {
-    LayoutKind.HIGHWAY: (0.5, 1.0, 2),
-    LayoutKind.SQUARE: (_SQRT2 / 6.0 * (_SQRT2 + math.log(1.0 + _SQRT2)), 1.0 / _SQRT2, 8),
-    LayoutKind.HEXAGONAL: (1.0 / 3.0 + math.log(3.0) / 4.0, _SQRT3 / 2.0, 6),
-    LayoutKind.CIRCLE: (2.0 / 3.0, None, None),
-}
-
-
-def _tiling_constant(kind: LayoutKind, index: int, name: str):
-    value = _CONSTANTS[LayoutKind(kind)][index]
-    if value is None:
-        raise NoTessellationError(f"the circle layout does not tessellate: {name} is undefined")
-    return value
-
-
-def layout_alpha(kind: LayoutKind) -> float:
-    """Mean distance from the site to a uniform point of the unit cell.
-
-    Evaluated from the exact closed forms, never from rounded decimals.
-    """
-    return _CONSTANTS[LayoutKind(kind)][0]
-
-
-def layout_zeta(kind: LayoutKind) -> float:
-    """Overlap parameter: half the inter-site distance in units of d_max.
-
-    Set so adjacent cells leave no coverage hole (the cell inradius).
-    """
-    return _tiling_constant(kind, 1, "zeta")
-
-
-def layout_neighbor_count(kind: LayoutKind) -> int:
-    """Number of adjacent sites charged in the neighbor upper bound."""
-    return _tiling_constant(kind, 2, "neighbor count")
-
-
-class Layout:
-    """Immutable bundle of the geometry constants for one layout kind.
-
-    ``alpha`` is always defined; ``zeta`` and ``n_neighbors`` raise
-    :class:`NoTessellationError` for the circle.
-    """
-
-    __slots__ = ("_kind",)
-
-    def __init__(self, kind: LayoutKind) -> None:
-        self._kind = LayoutKind(kind)
-
-    @property
-    def kind(self) -> LayoutKind:
-        return self._kind
-
     @property
     def alpha(self) -> float:
-        return layout_alpha(self._kind)
+        """Mean distance from the site to a uniform point of the unit cell.
+
+        Evaluated from the exact closed forms, never from rounded decimals.
+        """
+        return _ALPHA[self]
 
     @property
     def zeta(self) -> float:
-        return layout_zeta(self._kind)
+        """Overlap parameter: half the inter-site distance in units of d_max.
+
+        Set so adjacent cells leave no coverage hole (the cell inradius).
+        """
+        return self._tiling("zeta")[0]
 
     @property
     def n_neighbors(self) -> int:
-        return layout_neighbor_count(self._kind)
+        """Number of adjacent sites charged in the neighbor upper bound."""
+        return self._tiling("neighbor count")[1]
 
     @property
     def tessellates(self) -> bool:
-        return self._kind in TESSELLATING_KINDS
+        return self in _TILING
 
-    def __repr__(self) -> str:
-        return f"Layout({self._kind.value!r})"
+    def _tiling(self, name: str) -> tuple[float, int]:
+        if not self.tessellates:
+            raise NoTessellationError(
+                f"the {self.value} layout does not tessellate: {name} is undefined"
+            )
+        return _TILING[self]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Layout):
-            return NotImplemented
-        return self._kind is other._kind
 
-    def __hash__(self) -> int:
-        return hash(self._kind)
+_ALPHA = {
+    LayoutKind.HIGHWAY: 0.5,
+    LayoutKind.SQUARE: _SQRT2 / 6.0 * (_SQRT2 + math.log(1.0 + _SQRT2)),
+    LayoutKind.HEXAGONAL: 1.0 / 3.0 + math.log(3.0) / 4.0,
+    LayoutKind.CIRCLE: 2.0 / 3.0,
+}
+
+#: kind -> (zeta, neighbor count); the circle is a reference shape only.
+_TILING = {
+    LayoutKind.HIGHWAY: (1.0, 2),
+    LayoutKind.SQUARE: (1.0 / _SQRT2, 8),
+    LayoutKind.HEXAGONAL: (_SQRT3 / 2.0, 6),
+}
+
+#: Kinds that tile the plane.
+TESSELLATING_KINDS = tuple(_TILING)
 
 
 def contains_mask(kind: LayoutKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import NoTessellationError
-from .geometry import LayoutKind, Layout, layout_zeta
+from .geometry import LayoutKind
 from .propagation import Deployment, emitted_power
 
 _SQRT3 = math.sqrt(3.0)
@@ -59,7 +59,7 @@ class SiteLattice:
     @property
     def spacing(self) -> float:
         """Inter-site distance 2 * zeta * d_max."""
-        return 2.0 * layout_zeta(self.kind) * self.d_max
+        return 2.0 * self.kind.zeta * self.d_max
 
     @property
     def n_first_ring(self) -> int:
@@ -77,14 +77,14 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
     """
     import numpy as np
     kind = LayoutKind(kind)
-    if kind not in (LayoutKind.HIGHWAY, LayoutKind.SQUARE, LayoutKind.HEXAGONAL):
+    if not kind.tessellates:
         raise NoTessellationError("the circle layout has no site lattice")
     if not d_max > 0:
         raise ValueError(f"d_max must be > 0, got {d_max}")
     if not 1 <= rings <= 10:
         raise ValueError(f"rings must be in [1, 10], got {rings}")
 
-    s = 2.0 * layout_zeta(kind) * d_max
+    s = 2.0 * kind.zeta * d_max
     entries: list[tuple[int, float, float, float]] = []  # (ring, angle, x, y)
     if kind is LayoutKind.HIGHWAY:
         for k in range(-rings, rings + 1):
@@ -123,7 +123,7 @@ def default_region(lattice: SiteLattice) -> Region:
     if lattice.kind is LayoutKind.HIGHWAY:
         return Region(-1.1 * d, 1.1 * d, 0.0, 0.0)
     if lattice.kind is LayoutKind.SQUARE:
-        half = 1.1 * layout_zeta(LayoutKind.SQUARE) * d
+        half = 1.1 * LayoutKind.SQUARE.zeta * d
         return Region(-half, half, -half, half)
     return Region(-1.1 * d, 1.1 * d, -1.1 * _SQRT3 / 2.0 * d, 1.1 * _SQRT3 / 2.0 * d)
 
@@ -362,7 +362,7 @@ UPPER_BOUND_SLACK = 1e-9
 
 
 def verify_upper_bound(
-    field: RfpField, dep: Deployment, layout: Layout, n_i: int | None = None
+    field: RfpField, dep: Deployment, layout: LayoutKind, n_i: int | None = None
 ) -> list[UpperBoundViolation]:
     """Check the neighbor upper bound over the central cell.
 
@@ -371,13 +371,14 @@ def verify_upper_bound(
     (default: the lattice's first-ring site count). A lattice with two or more
     rings is expected to produce no violations; passing a deliberately small
     ``n_i`` (or a single-ring lattice with n_i = 0) is the negative control.
-    The check runs band by band (``field_bands``); violations come in
-    row-major order.
+    The serving term is the field's own ``rfp_serving``, so ``dep`` must be
+    the deployment the field was computed for. The check runs band by band
+    (``field_bands``); violations come in row-major order.
     """
     import numpy as np
-    if layout.kind is not field.lattice.kind:
+    if layout is not field.lattice.kind:
         raise ValueError(
-            f"layout kind {layout.kind.value} does not match the lattice "
+            f"layout kind {layout.value} does not match the lattice "
             f"({field.lattice.kind.value})"
         )
     if dep.d_max != field.lattice.d_max:
@@ -394,8 +395,7 @@ def verify_upper_bound(
     violations = []
     for band in field_bands(field):
         checked = band.central_cell & (band.serving_distance <= limit)
-        with np.errstate(divide="ignore"):  # excluded pixels may sit on a site
-            bound = scale * band.serving_distance**-dep.gamma + neighbor_term
+        bound = band.rfp_serving + neighbor_term
         bad = checked & (band.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK))
         for iy, ix in np.argwhere(bad):
             violations.append(

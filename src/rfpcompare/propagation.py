@@ -19,7 +19,7 @@ from .errors import (
     PlausibilityWarning,
     SingularDistanceError,
 )
-from .geometry import Layout
+from .geometry import LayoutKind
 
 #: Plausible range for the distance path-loss exponent (sub-6 GHz, <= 500 m).
 GAMMA_PLAUSIBLE_RANGE = (1.5, 6.5)
@@ -87,7 +87,7 @@ def emitted_power(dep: Deployment) -> float:
     return dep.p_r_th * dep.d_max**dep.gamma * dep.f**dep.eta * dep.c
 
 
-def neighbor_count(layout: Layout, mode: NeighborMode) -> int:
+def neighbor_count(layout: LayoutKind, mode: NeighborMode) -> int:
     """Effective neighbor count for a layout under the given mode."""
     if mode is NeighborMode.NONE:
         return 0
@@ -95,7 +95,7 @@ def neighbor_count(layout: Layout, mode: NeighborMode) -> int:
 
 
 def rfp_upper_bound(
-    dep: Deployment, serving_distance: float, layout: Layout, n_i: int
+    dep: Deployment, serving_distance: float, layout: LayoutKind, n_i: int
 ) -> float:
     """Upper bound on the composite received power at a pixel.
 
@@ -117,20 +117,25 @@ def rfp_upper_bound(
     return serving + n_i * per_neighbor
 
 
-def rfp_avg(dep: Deployment, layout: Layout, mode: NeighborMode) -> float:
+def _bracket(x: float, gamma: float, layout: LayoutKind, mode: NeighborMode) -> float:
+    """x^-gamma + N * zeta^-gamma: the received power at x * d_max over p_r_th."""
+    n_i = neighbor_count(layout, mode)
+    value = x**-gamma
+    if n_i:
+        value += n_i * layout.zeta**-gamma
+    return value
+
+
+def rfp_avg(dep: Deployment, layout: LayoutKind, mode: NeighborMode) -> float:
     """Received power at the layout's average distance alpha * d_max.
 
     Equals p_r_th * [alpha^-gamma + N * zeta^-gamma]; the emitted power,
     frequency, and baseline loss cancel against the edge constraint.
     """
-    n_i = neighbor_count(layout, mode)
-    value = layout.alpha**-dep.gamma
-    if n_i:
-        value += n_i * layout.zeta**-dep.gamma
-    return dep.p_r_th * value
+    return dep.p_r_th * _bracket(layout.alpha, dep.gamma, layout, mode)
 
 
-def rfp_fixed(dep: Deployment, layout: Layout, beta: float, mode: NeighborMode) -> float:
+def rfp_fixed(dep: Deployment, layout: LayoutKind, beta: float, mode: NeighborMode) -> float:
     """Received power at the fixed distance beta * d_max.
 
     Equals p_r_th * [beta^-gamma + N * zeta^-gamma]. beta must lie in (0, 1];
@@ -146,8 +151,4 @@ def rfp_fixed(dep: Deployment, layout: Layout, beta: float, mode: NeighborMode) 
             PlausibilityWarning,
             stacklevel=2,
         )
-    n_i = neighbor_count(layout, mode)
-    value = beta**-dep.gamma
-    if n_i:
-        value += n_i * layout.zeta**-dep.gamma
-    return dep.p_r_th * value
+    return dep.p_r_th * _bracket(beta, dep.gamma, layout, mode)

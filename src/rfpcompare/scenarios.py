@@ -1,4 +1,4 @@
-"""Built-in comparison scenarios, JSON scenario documents, and beta sweeps.
+"""Built-in comparison scenarios, JSON scenario documents, and their validation.
 
 A scenario is a pair of deployments plus the evaluation settings (beta1, the
 layouts and neighbor modes to run). The five built-ins cover densification
@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .comparison import DeploymentPair, delta_fixed
 from .errors import (
     BetaOutOfRangeError,
     ScenarioSchemaError,
     ScenarioSyntaxError,
     ScenarioValidationError,
 )
-from .geometry import Layout, LayoutKind, TESSELLATING_KINDS
+from .geometry import LayoutKind, TESSELLATING_KINDS
 from .propagation import GAMMA_PLAUSIBLE_RANGE, Deployment, NeighborMode
 
 _DEFAULT_LAYOUTS = TESSELLATING_KINDS
@@ -93,22 +92,6 @@ def builtin_scenario(scenario_id: str) -> Scenario:
             f"unknown scenario id {scenario_id!r}; valid ids: "
             + ", ".join(_BUILTIN_SCENARIOS)
         ) from None
-
-
-def pair_for(
-    scenario: Scenario,
-    kind: LayoutKind,
-    mode: NeighborMode,
-    beta1: float | None = None,
-) -> DeploymentPair:
-    """Bind a scenario to a concrete layout and neighbor mode."""
-    return DeploymentPair(
-        dep1=scenario.dep1,
-        dep2=scenario.dep2,
-        layout=Layout(kind),
-        beta1=scenario.beta1 if beta1 is None else beta1,
-        mode=mode,
-    )
 
 
 # -- JSON scenario documents -------------------------------------------------
@@ -234,35 +217,6 @@ def parse_scenario_file(document: str) -> Scenario:
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Dict form of a scenario in the JSON document schema."""
-
-    def dep(d: Deployment) -> dict:
-        return {
-            "d_max_m": d.d_max,
-            "p_r_th": d.p_r_th,
-            "gamma": d.gamma,
-            "f_mhz": d.f,
-            "eta": d.eta,
-            "c": d.c,
-        }
-
-    return {
-        "id": scenario.id,
-        "description": scenario.description,
-        "deployment1": dep(scenario.dep1),
-        "deployment2": dep(scenario.dep2),
-        "beta1": scenario.beta1,
-        "layouts": [k.value for k in scenario.layouts],
-        "modes": [m.value for m in scenario.modes],
-    }
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario to a JSON document that parses back losslessly."""
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
-
-
 # -- Validation --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -325,55 +279,3 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 )
             )
     return violations
-
-
-# -- Beta sweeps -------------------------------------------------------------
-
-#: Most grid points a beta sweep may have; a finer step is refused before
-#: the grid is built.
-MAX_SWEEP_POINTS = 100_000
-
-
-def sweep_beta(
-    scenario: Scenario,
-    kind: LayoutKind,
-    mode: NeighborMode,
-    beta_start: float,
-    beta_end: float,
-    beta_step: float,
-) -> list[tuple[float, float]]:
-    """Fixed-distance ratio over an inclusive beta1 grid.
-
-    The grid runs from beta_start to beta_end in steps of beta_step, with both
-    endpoints included up to half-a-step tolerance. The whole range is checked
-    before evaluation: a grid point whose beta2 would exceed 1 aborts the
-    sweep naming the offending beta1, and a grid of more than
-    ``MAX_SWEEP_POINTS`` points is refused before it is built.
-    """
-    if not beta_step > 0:
-        raise ValueError(f"beta_step must be > 0, got {beta_step}")
-    if not 0 < beta_start <= beta_end:
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end, got [{beta_start}, {beta_end}]"
-        )
-    # Checked as a float before int(): a subnormal step gives an infinite count.
-    n_steps = (beta_end - beta_start) / beta_step + 0.5
-    if not n_steps < MAX_SWEEP_POINTS:
-        raise ValueError(
-            f"beta grid [{beta_start:g}, {beta_end:g}] in steps of {beta_step:g} needs "
-            f"about {n_steps + 0.5:.3g} points, over the point budget "
-            f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
-        )
-    n_points = int(n_steps) + 1
-    grid = [beta_start + k * beta_step for k in range(n_points)]
-
-    delta_d_max = scenario.dep1.d_max / scenario.dep2.d_max
-    for b in grid:
-        if not b < 1:
-            raise BetaOutOfRangeError(f"grid point beta1 = {b:.6g} must be below 1")
-        beta2 = b * delta_d_max
-        if beta2 > 1:
-            raise BetaOutOfRangeError(
-                f"grid point beta1 = {b:.6g} gives beta2 = {beta2:.6g} > 1"
-            )
-    return [(b, delta_fixed(pair_for(scenario, kind, mode, beta1=b))) for b in grid]

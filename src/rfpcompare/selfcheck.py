@@ -9,14 +9,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .comparison import CLOSED_FORM_RTOL, verify_closed_forms
-from .geometry import (
-    Layout,
-    LayoutKind,
-    TESSELLATING_KINDS,
-    estimate_alpha_monte_carlo,
-    layout_alpha,
-    layout_zeta,
-)
+from .geometry import LayoutKind, TESSELLATING_KINDS, estimate_alpha_monte_carlo
 from .gridsim import compute_field, empirical_alpha, generate_sites, verify_upper_bound
 from .propagation import Deployment, NeighborMode, emitted_power, received_power, rfp_fixed
 
@@ -65,7 +58,7 @@ def _geometry_checks(
     for i, kind in enumerate(LayoutKind):
         estimate, stderr = estimate_alpha_monte_carlo(kind, mc_samples, seed + i)
         reference = (
-            alpha_reference[kind] if alpha_reference is not None else layout_alpha(kind)
+            alpha_reference[kind] if alpha_reference is not None else kind.alpha
         )
         err = abs(estimate - reference)
         tol = max(MC_ALPHA_TOL, 5.0 * stderr)
@@ -80,7 +73,7 @@ def _geometry_checks(
                 ),
             )
         )
-    below = all(layout_alpha(k) < layout_zeta(k) for k in TESSELLATING_KINDS)
+    below = all(k.alpha < k.zeta for k in TESSELLATING_KINDS)
     results.append(
         CheckResult(
             family="geometry",
@@ -89,7 +82,7 @@ def _geometry_checks(
             detail="alpha < zeta for every tessellating layout",
         )
     )
-    order = [layout_alpha(k) for k in LayoutKind]
+    order = [k.alpha for k in LayoutKind]
     increasing = order == sorted(order) and len(set(order)) == len(order)
     results.append(
         CheckResult(
@@ -130,8 +123,7 @@ def _propagation_checks(seed: int) -> list[CheckResult]:
 
     dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=3.0, f=700.0)
     monotone = True
-    for kind in TESSELLATING_KINDS:
-        layout = Layout(kind)
+    for layout in TESSELLATING_KINDS:
         betas = [0.02 * k for k in range(1, 31)]
         values = [rfp_fixed(dep, layout, b, NeighborMode.NONE) for b in betas]
         monotone &= all(a > b for a, b in zip(values, values[1:]))
@@ -143,8 +135,7 @@ def _propagation_checks(seed: int) -> list[CheckResult]:
     )
 
     ordering = True
-    for kind in TESSELLATING_KINDS:
-        layout = Layout(kind)
+    for layout in TESSELLATING_KINDS:
         ordering &= rfp_fixed(dep, layout, 0.05, NeighborMode.ADJACENT) > rfp_fixed(
             dep, layout, 0.05, NeighborMode.NONE
         )
@@ -161,7 +152,7 @@ def _simulation_checks() -> list[CheckResult]:
     dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=3.0, f=700.0)
     lattice = generate_sites(LayoutKind.HEXAGONAL, dep.d_max, rings=2)
     fld = compute_field(lattice, dep, resolution=20.0)
-    violations = verify_upper_bound(fld, dep, Layout(LayoutKind.HEXAGONAL))
+    violations = verify_upper_bound(fld, dep, LayoutKind.HEXAGONAL)
     bound_check = CheckResult(
         family="simulation",
         name="hexagonal-upper-bound",
@@ -172,7 +163,7 @@ def _simulation_checks() -> list[CheckResult]:
         ),
     )
     emp = empirical_alpha(lattice, resolution=5.0)
-    err = abs(emp - layout_alpha(LayoutKind.HEXAGONAL))
+    err = abs(emp - LayoutKind.HEXAGONAL.alpha)
     alpha_check = CheckResult(
         family="simulation",
         name="empirical-alpha-hexagonal",

@@ -11,7 +11,6 @@ import pytest
 
 from rfpcompare import (
     Deployment,
-    Layout,
     LayoutKind,
     NeighborMode,
     TESSELLATING_KINDS,
@@ -23,7 +22,6 @@ from rfpcompare import (
     empirical_alpha,
     estimate_alpha_monte_carlo,
     generate_sites,
-    layout_alpha,
     pair_for,
     received_power,
     rfp_fixed,
@@ -38,9 +36,8 @@ HEX = LayoutKind.HEXAGONAL
 def brute_force_delta_fixed(sid: str, mode: NeighborMode, beta1: float = 0.05) -> float:
     """Independent route: quotient of absolute fixed-distance evaluations."""
     s = builtin_scenario(sid)
-    layout = Layout(HEX)
     beta2 = beta1 * s.dep1.d_max / s.dep2.d_max
-    return rfp_fixed(s.dep1, layout, beta1, mode) / rfp_fixed(s.dep2, layout, beta2, mode)
+    return rfp_fixed(s.dep1, HEX, beta1, mode) / rfp_fixed(s.dep2, HEX, beta2, mode)
 
 
 def test_criterion_1_geometry_constants():
@@ -52,10 +49,10 @@ def test_criterion_1_geometry_constants():
         LayoutKind.CIRCLE: 0.6667,
     }
     for kind, expected in table.items():
-        assert abs(layout_alpha(kind) - expected) <= 5e-5, kind
+        assert abs(kind.alpha - expected) <= 5e-5, kind
     for kind in LayoutKind:
         estimate, _ = estimate_alpha_monte_carlo(kind, 10**7, 20260810)
-        assert abs(estimate - layout_alpha(kind)) <= 1e-3, kind
+        assert abs(estimate - kind.alpha) <= 1e-3, kind
     print("criterion 1: PASS -- Table values to 4 decimals, Monte Carlo within 1e-3")
 
 
@@ -141,7 +138,7 @@ def test_criterion_7_simulator_oracle():
     lattice = generate_sites(HEX, dep.d_max, rings=2)
 
     field = compute_field(lattice, dep, resolution=5.0)
-    violations = verify_upper_bound(field, dep, Layout(HEX))
+    violations = verify_upper_bound(field, dep, HEX)
     assert violations == []
 
     probe = compute_field(lattice, dep, 5.0, region=Region(22.5, 27.5, -2.5, 2.5))

@@ -12,15 +12,12 @@ import pytest
 from click.testing import CliRunner
 
 import rfpcompare.gridsim as gridsim
-import rfpcompare.selfcheck as selfcheck
 from rfpcompare import (
     LayoutKind,
     builtin_scenario,
     compute_field,
     generate_sites,
-    layout_alpha,
     run_validation,
-    serialize_scenario,
 )
 from rfpcompare.cli import main
 
@@ -29,6 +26,14 @@ runner = CliRunner()
 
 def invoke(*args):
     return runner.invoke(main, list(args))
+
+
+def s1_document(**changes) -> str:
+    """The built-in S1 as a JSON scenario document, with top-level fields changed."""
+    doc = {"id": "S1", "description": "Light densification",
+           "deployment1": {"d_max_m": 500, "p_r_th": 1, "gamma": 3, "f_mhz": 700},
+           "deployment2": {"d_max_m": 250, "p_r_th": 1, "gamma": 3, "f_mhz": 700}}
+    return json.dumps({**doc, **changes})
 
 
 def table_cells(output: str) -> list[dict[str, str]]:
@@ -115,7 +120,7 @@ def test_compare_db_flag_adds_decibel_columns():
 
 def test_compare_scenario_file_matches_builtin(tmp_path):
     doc = tmp_path / "s1.json"
-    doc.write_text(serialize_scenario(builtin_scenario("S1")), encoding="utf-8")
+    doc.write_text(s1_document(), encoding="utf-8")
     from_file = invoke("compare", "--scenario", str(doc), "--format", "csv")
     from_builtin = invoke("compare", "--scenario", "S1", "--format", "csv")
     assert from_file.exit_code == 0
@@ -149,6 +154,18 @@ def test_compare_rejects_invalid_scenario_file(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe{"),
+], ids=["directory", "not-utf-8"])
+def test_compare_rejects_unreadable_scenario_file(tmp_path, make):
+    source = tmp_path / "scenario.json"
+    make(source)
+    result = invoke("compare", "--scenario", str(source))
+    assert result.exit_code == 2, result.output
+    assert "invalid scenario file" in result.stderr
+
+
 def test_compare_rejects_beta_breaking_pair_invariant():
     result = invoke("compare", "--scenario", "S5", "--layout", "hexagonal",
                     "--neighbors", "off", "--beta", "0.2")
@@ -157,13 +174,7 @@ def test_compare_rejects_beta_breaking_pair_invariant():
 
 def test_compare_rejects_empty_selection(tmp_path):
     doc = tmp_path / "empty.json"
-    doc.write_text(
-        serialize_scenario(builtin_scenario("S1")).replace(
-            '"layouts": [\n    "highway",\n    "square",\n    "hexagonal"\n  ]',
-            '"layouts": []',
-        ),
-        encoding="utf-8",
-    )
+    doc.write_text(s1_document(layouts=[]), encoding="utf-8")
     result = invoke("compare", "--scenario", str(doc))
     assert result.exit_code == 2
 
@@ -261,6 +272,27 @@ def test_implausible_gamma_is_reported_once(run_cli, tmp_path, args):
         assert lines[0].startswith("warning: gamma=7.0 is outside the plausible range")
     else:
         assert lines[0].startswith("warning: deployment1.gamma: gamma = 7.0 ")
+
+
+@pytest.mark.parametrize("args", [
+    ["compare"],
+    ["simulate", "--layout", "square", "--resolution", "1e97"],
+], ids=["compare", "simulate"])
+def test_float_overflow_is_an_error_line(run_cli, tmp_path, args):
+    """Schema-valid values whose powers overflow a float: d_max(1)^gamma(1)
+    is 1e600. The command exits 2 with one `error: ` line, no traceback."""
+    scenario = {
+        "id": "O",
+        "deployment1": {"d_max_m": 1e100, "p_r_th": 1, "gamma": 6, "f_mhz": 700},
+        "deployment2": {"d_max_m": 1e99, "p_r_th": 1, "gamma": 1.6, "f_mhz": 700},
+    }
+    (tmp_path / "o.json").write_text(json.dumps(scenario), encoding="utf-8")
+    proc = run_cli([args[0], "--scenario", "o.json", *args[1:]])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert proc.stdout == b""
+    assert not (tmp_path / "field.csv").exists()
 
 
 # -- simulate ------------------------------------------------------------------
@@ -424,12 +456,12 @@ def test_validate_refuses_samples_below_minimum(samples):
 
 def test_validate_names_monte_carlo_check_when_alpha_is_corrupted(monkeypatch):
     """Negative control: a corrupted alpha constant fails the MC check."""
-    real = layout_alpha
+    real = LayoutKind.alpha.fget
 
     def corrupted(kind):
         return 0.7 if kind is LayoutKind.HEXAGONAL else real(kind)
 
-    monkeypatch.setattr(selfcheck, "layout_alpha", corrupted)
+    monkeypatch.setattr(LayoutKind, "alpha", property(corrupted))
     result = invoke("validate", "--samples", "100000")
     assert result.exit_code == 1
     assert "[FAIL] geometry     monte-carlo-alpha-hexagonal" in result.output
@@ -438,7 +470,7 @@ def test_validate_names_monte_carlo_check_when_alpha_is_corrupted(monkeypatch):
 
 def test_run_validation_alpha_reference_negative_control():
     """The injectable reference corrupts exactly the Monte Carlo comparison."""
-    corrupted = {kind: layout_alpha(kind) for kind in LayoutKind}
+    corrupted = {kind: kind.alpha for kind in LayoutKind}
     corrupted[LayoutKind.SQUARE] = 0.6
     results = run_validation(mc_samples=100_000, alpha_reference=corrupted)
     failed = [r.name for r in results if not r.passed]

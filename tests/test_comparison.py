@@ -14,7 +14,6 @@ from rfpcompare import (
     CLOSED_FORM_RTOL,
     Deployment,
     DeploymentPair,
-    Layout,
     LayoutKind,
     Metric,
     NeighborMode,
@@ -78,7 +77,7 @@ def random_pair(rng: np.random.Generator) -> DeploymentPair:
                       float(rng.uniform(400.0, 6000.0)), eta, float(rng.uniform(0.1, 10.0)))
     kind = LayoutKind(str(rng.choice([k.value for k in TESSELLATING_KINDS])))
     mode = NeighborMode.ADJACENT if rng.integers(2) else NeighborMode.NONE
-    return DeploymentPair(dep1, dep2, Layout(kind), beta1, mode)
+    return DeploymentPair(dep1, dep2, kind, beta1, mode)
 
 
 # -- DeploymentPair invariants -------------------------------------------------
@@ -93,21 +92,21 @@ def test_pair_beta2_definition():
 def test_pair_rejects_beta2_above_one():
     s = builtin_scenario("S5")  # delta(d_max) = 10
     with pytest.raises(BetaOutOfRangeError):
-        DeploymentPair(s.dep1, s.dep2, Layout(HEX), 0.2, NeighborMode.NONE)
+        DeploymentPair(s.dep1, s.dep2, HEX, 0.2, NeighborMode.NONE)
 
 
 def test_pair_rejects_bad_beta1():
     s = builtin_scenario("S1")
     for beta1 in (0.0, 1.0, -0.3):
         with pytest.raises(BetaOutOfRangeError):
-            DeploymentPair(s.dep1, s.dep2, Layout(HEX), beta1, NeighborMode.NONE)
+            DeploymentPair(s.dep1, s.dep2, HEX, beta1, NeighborMode.NONE)
 
 
 def test_pair_rejects_adjacent_circle():
     s = builtin_scenario("S1")
     with pytest.raises(NoTessellationError):
-        DeploymentPair(s.dep1, s.dep2, Layout(LayoutKind.CIRCLE), 0.05, NeighborMode.ADJACENT)
-    pair = DeploymentPair(s.dep1, s.dep2, Layout(LayoutKind.CIRCLE), 0.05, NeighborMode.NONE)
+        DeploymentPair(s.dep1, s.dep2, LayoutKind.CIRCLE, 0.05, NeighborMode.ADJACENT)
+    pair = DeploymentPair(s.dep1, s.dep2, LayoutKind.CIRCLE, 0.05, NeighborMode.NONE)
     assert delta_avg(pair) == 1.0
 
 
@@ -125,7 +124,7 @@ def test_delta_emitted_builtin_values():
 
 def test_delta_emitted_identical_deployments_is_one():
     dep = Deployment(500.0, 1.0, 3.0, 700.0)
-    pair = DeploymentPair(dep, dep, Layout(HEX), 0.05, NeighborMode.NONE)
+    pair = DeploymentPair(dep, dep, HEX, 0.05, NeighborMode.NONE)
     assert delta_emitted(pair) == 1.0
 
 
@@ -140,7 +139,7 @@ def test_delta_emitted_equals_emitted_power_quotient():
 def test_delta_emitted_rejects_eta_change():
     dep1 = Deployment(500.0, 1.0, 3.0, 700.0, eta=2.0)
     dep2 = Deployment(250.0, 1.0, 3.0, 700.0, eta=2.5)
-    pair = DeploymentPair(dep1, dep2, Layout(HEX), 0.05, NeighborMode.NONE)
+    pair = DeploymentPair(dep1, dep2, HEX, 0.05, NeighborMode.NONE)
     with pytest.raises(UnsupportedParameterChangeError):
         delta_emitted(pair)
 
@@ -259,7 +258,7 @@ def test_equal_gamma_neighbor_free_structure():
         dep1 = Deployment(d1, float(rng.uniform(0.1, 10.0)), gamma, 700.0)
         dep2 = Deployment(d2, float(rng.uniform(0.1, 10.0)), gamma, 3700.0)
         beta1 = 0.05 * min(1.0, d2 / d1)
-        pair = DeploymentPair(dep1, dep2, Layout(HEX), beta1, NeighborMode.NONE)
+        pair = DeploymentPair(dep1, dep2, HEX, beta1, NeighborMode.NONE)
         dpth = dep1.p_r_th / dep2.p_r_th
         assert delta_fixed(pair) == pytest.approx(dpth * (d1 / d2) ** gamma, rel=1e-12)
         assert delta_avg(pair) == pytest.approx(dpth, rel=1e-12)
@@ -267,7 +266,7 @@ def test_equal_gamma_neighbor_free_structure():
         same_th = DeploymentPair(
             dep1,
             Deployment(d2, dep1.p_r_th, gamma, 3700.0),
-            Layout(HEX),
+            HEX,
             beta1,
             NeighborMode.NONE,
         )
@@ -311,19 +310,18 @@ def test_received_ratios_invariant_to_common_scaling():
 
 
 def test_closed_form_examples():
-    hex_layout = Layout(HEX)
-    assert closed_form_delta("S3", Metric.PR_AVG, hex_layout, NeighborMode.NONE) == 1.0
+    assert closed_form_delta("S3", Metric.PR_AVG, HEX, NeighborMode.NONE) == 1.0
     assert closed_form_delta(
-        "S1", Metric.PR_FX, hex_layout, NeighborMode.ADJACENT, 0.05
+        "S1", Metric.PR_FX, HEX, NeighborMode.ADJACENT, 0.05
     ) == pytest.approx(7.936, abs=5e-4)
     assert closed_form_delta(
-        "S2", Metric.PR_FX, hex_layout, NeighborMode.ADJACENT, 0.05
+        "S2", Metric.PR_FX, HEX, NeighborMode.ADJACENT, 0.05
     ) == pytest.approx(302.291526514, rel=1e-9)
 
 
 def test_closed_form_unknown_scenario():
     with pytest.raises(ValueError):
-        closed_form_delta("S9", Metric.PE, Layout(HEX), NeighborMode.NONE)
+        closed_form_delta("S9", Metric.PE, HEX, NeighborMode.NONE)
 
 
 def test_evaluate_pair_bundles_all_three_ratios():

@@ -9,15 +9,11 @@ import numpy as np
 import pytest
 
 from rfpcompare import (
-    Layout,
     LayoutKind,
     NoTessellationError,
     TESSELLATING_KINDS,
     cell_contains,
     estimate_alpha_monte_carlo,
-    layout_alpha,
-    layout_neighbor_count,
-    layout_zeta,
 )
 from rfpcompare.geometry import _BOUNDING_BOX, _MC_CHUNK, contains_mask
 
@@ -75,48 +71,47 @@ SQUARE_VERTICES = [
 def test_alpha_matches_published_table_to_4_decimals():
     """Each closed-form alpha rounds to the published 4-decimal value."""
     for kind, expected in ALPHA_TABLE.items():
-        assert abs(layout_alpha(kind) - expected) <= 5e-5, kind
+        assert abs(kind.alpha - expected) <= 5e-5, kind
 
 
 def test_alpha_matches_quadrature_oracle():
     """Closed forms agree with direct numeric integration over the cell."""
-    assert layout_alpha(LayoutKind.HIGHWAY) == 0.5
-    assert abs(layout_alpha(LayoutKind.SQUARE) - sector_alpha(1 / SQRT2, math.pi / 4)) < 1e-9
-    assert abs(layout_alpha(LayoutKind.HEXAGONAL) - sector_alpha(SQRT3 / 2, math.pi / 6)) < 1e-9
-    assert abs(layout_alpha(LayoutKind.CIRCLE) - 2.0 / 3.0) == 0.0
+    assert LayoutKind.HIGHWAY.alpha == 0.5
+    assert abs(LayoutKind.SQUARE.alpha - sector_alpha(1 / SQRT2, math.pi / 4)) < 1e-9
+    assert abs(LayoutKind.HEXAGONAL.alpha - sector_alpha(SQRT3 / 2, math.pi / 6)) < 1e-9
+    assert abs(LayoutKind.CIRCLE.alpha - 2.0 / 3.0) == 0.0
 
 
 def test_zeta_values():
-    assert layout_zeta(LayoutKind.HIGHWAY) == 1.0
-    assert abs(layout_zeta(LayoutKind.SQUARE) - 0.70711) <= 1e-5
-    assert layout_zeta(LayoutKind.SQUARE) == 1.0 / SQRT2
-    assert layout_zeta(LayoutKind.HEXAGONAL) == SQRT3 / 2.0
+    assert LayoutKind.HIGHWAY.zeta == 1.0
+    assert abs(LayoutKind.SQUARE.zeta - 0.70711) <= 1e-5
+    assert LayoutKind.SQUARE.zeta == 1.0 / SQRT2
+    assert LayoutKind.HEXAGONAL.zeta == SQRT3 / 2.0
 
 
 def test_circle_has_no_tessellation_constants():
-    with pytest.raises(NoTessellationError):
-        layout_zeta(LayoutKind.CIRCLE)
-    with pytest.raises(NoTessellationError):
-        layout_neighbor_count(LayoutKind.CIRCLE)
-    with pytest.raises(NoTessellationError):
-        Layout(LayoutKind.CIRCLE).zeta
+    assert [k for k in LayoutKind if k.tessellates] == list(TESSELLATING_KINDS)
+    with pytest.raises(NoTessellationError, match="circle layout does not tessellate: zeta"):
+        LayoutKind.CIRCLE.zeta
+    with pytest.raises(NoTessellationError, match="tessellate: neighbor count is undefined"):
+        LayoutKind.CIRCLE.n_neighbors
 
 
 def test_neighbor_counts():
-    assert layout_neighbor_count(LayoutKind.HIGHWAY) == 2
-    assert layout_neighbor_count(LayoutKind.SQUARE) == 8
-    assert layout_neighbor_count(LayoutKind.HEXAGONAL) == 6
+    assert LayoutKind.HIGHWAY.n_neighbors == 2
+    assert LayoutKind.SQUARE.n_neighbors == 8
+    assert LayoutKind.HEXAGONAL.n_neighbors == 6
 
 
 def test_alpha_below_zeta_for_tessellating_layouts():
     for kind in TESSELLATING_KINDS:
-        assert layout_alpha(kind) < layout_zeta(kind), kind
+        assert kind.alpha < kind.zeta, kind
 
 
 def test_alpha_ordering_across_layouts():
     """highway < square < hexagonal < circle."""
     values = [
-        layout_alpha(k)
+        k.alpha
         for k in (
             LayoutKind.HIGHWAY,
             LayoutKind.SQUARE,
@@ -125,20 +120,6 @@ def test_alpha_ordering_across_layouts():
         )
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_layout_object_properties_and_equality():
-    hexagonal = Layout(LayoutKind.HEXAGONAL)
-    assert hexagonal.kind is LayoutKind.HEXAGONAL
-    assert hexagonal.alpha == layout_alpha(LayoutKind.HEXAGONAL)
-    assert hexagonal.zeta == layout_zeta(LayoutKind.HEXAGONAL)
-    assert hexagonal.n_neighbors == 6
-    assert hexagonal.tessellates
-    assert not Layout(LayoutKind.CIRCLE).tessellates
-    assert hexagonal == Layout(LayoutKind.HEXAGONAL)
-    assert hexagonal != Layout(LayoutKind.SQUARE)
-    assert hash(hexagonal) == hash(Layout(LayoutKind.HEXAGONAL))
-    assert Layout("square").kind is LayoutKind.SQUARE
 
 
 # -- cell membership ----------------------------------------------------------
@@ -376,7 +357,7 @@ def test_monte_carlo_highway_close_to_half():
 
 def test_monte_carlo_hexagonal_within_1e3_at_1e7():
     estimate, _ = estimate_alpha_monte_carlo(LayoutKind.HEXAGONAL, 10**7, 2024)
-    assert abs(estimate - layout_alpha(LayoutKind.HEXAGONAL)) <= 1e-3
+    assert abs(estimate - LayoutKind.HEXAGONAL.alpha) <= 1e-3
 
 
 def test_monte_carlo_circle_within_1e3_at_1e7():
@@ -390,7 +371,7 @@ def test_monte_carlo_converges_within_4_stderr_across_10_seeds():
     for seed in range(10):
         for kind in LayoutKind:
             estimate, stderr = estimate_alpha_monte_carlo(kind, 10**7, seed)
-            pull = abs(estimate - layout_alpha(kind)) / stderr
+            pull = abs(estimate - kind.alpha) / stderr
             worst = max(worst, pull)
             assert pull <= 4.0, (kind, seed, pull)
     print(f"\n  worst Monte Carlo deviation: {worst:.2f} stderr")

@@ -17,7 +17,6 @@ import pytest
 
 from rfpcompare import (
     Deployment,
-    Layout,
     LayoutKind,
     NoTessellationError,
     Region,
@@ -28,9 +27,6 @@ from rfpcompare import (
     empirical_alpha,
     export_field_csv,
     generate_sites,
-    layout_alpha,
-    layout_neighbor_count,
-    layout_zeta,
     rfp_upper_bound,
     verify_upper_bound,
 )
@@ -46,7 +42,7 @@ from rfpcompare.propagation import emitted_power
 
 SQRT3 = math.sqrt(3.0)
 S1_DEP1 = Deployment(d_max=500.0, p_r_th=1.0, gamma=3.0, f=700.0)
-HEX = Layout(LayoutKind.HEXAGONAL)
+HEX = LayoutKind.HEXAGONAL
 
 
 def single_site_lattice(kind: LayoutKind, d_max: float) -> SiteLattice:
@@ -161,7 +157,7 @@ def test_ring_structure_and_counts():
 def test_first_ring_matches_neighbor_count():
     for kind in TESSELLATING_KINDS:
         lattice = generate_sites(kind, 500.0, 3)
-        assert lattice.n_first_ring == layout_neighbor_count(kind), kind
+        assert lattice.n_first_ring == kind.n_neighbors, kind
 
 
 def test_generate_sites_rejects_bad_inputs():
@@ -217,7 +213,7 @@ def test_non_serving_sites_at_least_zeta_d_max_away():
         X, Y = np.meshgrid(fld.xs, fld.ys)
         central = fld.serving_site == 0
         slack = 10.0 * math.sqrt(2.0) / 2.0
-        floor = layout_zeta(kind) * 500.0 - slack
+        floor = kind.zeta * 500.0 - slack
         for i in range(1, len(lattice.sites)):
             d = np.hypot(X - lattice.sites[i, 0], Y - lattice.sites[i, 1])
             assert d[central].min() >= floor, (kind, i)
@@ -475,7 +471,7 @@ def test_upper_bound_holds_for_all_layouts():
     for kind in TESSELLATING_KINDS:
         lattice = generate_sites(kind, 500.0, 2)
         fld = compute_field(lattice, S1_DEP1, resolution=10.0)
-        assert verify_upper_bound(fld, S1_DEP1, Layout(kind)) == [], kind
+        assert verify_upper_bound(fld, S1_DEP1, kind) == [], kind
 
 
 def test_upper_bound_negative_control_violates_everywhere():
@@ -532,7 +528,7 @@ def whole_grid_bound_oracle(field, dep, layout, n_i):
 def test_banded_bound_check_matches_whole_grid_oracle(kind, rings, resolution, n_i):
     lattice = generate_sites(kind, 500.0, rings)
     fld = compute_field(lattice, S1_DEP1, resolution)
-    layout = Layout(kind)
+    layout = kind
     bands = list(field_bands(fld))
     assert len(bands) > 1
     violations = verify_upper_bound(fld, S1_DEP1, layout, n_i=n_i)
@@ -548,7 +544,7 @@ def test_upper_bound_rejects_mismatched_inputs():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 2)
     fld = compute_field(lattice, S1_DEP1, resolution=25.0)
     with pytest.raises(ValueError):
-        verify_upper_bound(fld, S1_DEP1, Layout(LayoutKind.SQUARE))
+        verify_upper_bound(fld, S1_DEP1, LayoutKind.SQUARE)
     with pytest.raises(ValueError):
         verify_upper_bound(fld, Deployment(250.0, 1.0, 3.0, 700.0), HEX)
 
@@ -575,7 +571,7 @@ def test_empirical_alpha_converges_first_order():
     """Error stays within a first-order envelope and ends deep below it."""
     for kind in TESSELLATING_KINDS:
         lattice = generate_sites(kind, 500.0, 1)
-        closed = layout_alpha(kind)
+        closed = kind.alpha
         for resolution in (4.0, 2.0, 1.0):
             err = abs(empirical_alpha(lattice, resolution) - closed)
             assert err <= 0.6 * resolution / 500.0, (kind, resolution, err)

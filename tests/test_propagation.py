@@ -12,7 +12,6 @@ from rfpcompare import (
     BetaOutOfRangeError,
     BoundNotValidError,
     Deployment,
-    Layout,
     LayoutKind,
     NeighborMode,
     NoTessellationError,
@@ -27,7 +26,7 @@ from rfpcompare import (
 )
 
 SQRT3 = math.sqrt(3.0)
-HEX = Layout(LayoutKind.HEXAGONAL)
+HEX = LayoutKind.HEXAGONAL
 
 # Frozen oracle values (40-digit arithmetic, independent of the implementation).
 RFP_AVG_HEX_ADJ_G3 = 13.6871779006  # alpha^-3 + 6 * zeta^-3
@@ -94,7 +93,7 @@ def test_pixel_power_below_upper_bound_for_random_geometry():
     rng = np.random.default_rng(2718)
     for _ in range(200):
         dep = random_deployment(rng)
-        layout = Layout(LayoutKind(rng.choice([k.value for k in TESSELLATING_KINDS])))
+        layout = LayoutKind(rng.choice([k.value for k in TESSELLATING_KINDS]))
         limit = layout.zeta * dep.d_max
         d_s = float(rng.uniform(0.01, 1.0)) * limit
         neighbors = [
@@ -148,7 +147,7 @@ def test_upper_bound_validity_region():
 
 def test_rfp_avg_highway_neighbor_free():
     dep = Deployment(500.0, 2.5, 3.0, 700.0)
-    assert rfp_avg(dep, Layout(LayoutKind.HIGHWAY), NeighborMode.NONE) == pytest.approx(
+    assert rfp_avg(dep, LayoutKind.HIGHWAY, NeighborMode.NONE) == pytest.approx(
         2.5 * 8.0, rel=1e-14
     )
 
@@ -163,8 +162,7 @@ def test_rfp_avg_hexagonal_adjacent():
 def test_rfp_avg_equals_pixel_evaluation():
     """Average-distance form matches the raw pixel formula at alpha * d_max."""
     rng = np.random.default_rng(99)
-    for kind in TESSELLATING_KINDS:
-        layout = Layout(kind)
+    for layout in TESSELLATING_KINDS:
         for _ in range(20):
             dep = random_deployment(rng)
             for mode, n_i in ((NeighborMode.NONE, 0), (NeighborMode.ADJACENT, layout.n_neighbors)):
@@ -179,7 +177,7 @@ def test_rfp_avg_equals_pixel_evaluation():
 
 def test_rfp_avg_circle_works_without_neighbors_only():
     dep = Deployment(500.0, 1.0, 3.0, 700.0)
-    circle = Layout(LayoutKind.CIRCLE)
+    circle = LayoutKind.CIRCLE
     assert rfp_avg(dep, circle, NeighborMode.NONE) == pytest.approx(
         (2.0 / 3.0) ** -3, rel=1e-12
     )
@@ -215,11 +213,10 @@ def test_rfp_fixed_warns_beyond_zeta():
 
 def test_rfp_fixed_strictly_decreases_in_beta():
     dep = Deployment(500.0, 1.0, 3.0, 700.0)
-    for kind in TESSELLATING_KINDS:
-        layout = Layout(kind)
+    for layout in TESSELLATING_KINDS:
         betas = [0.02 * k for k in range(1, 31)]
         values = [rfp_fixed(dep, layout, b, NeighborMode.NONE) for b in betas]
-        assert all(a > b for a, b in zip(values, values[1:])), kind
+        assert all(a > b for a, b in zip(values, values[1:])), layout
 
 
 def test_rfp_avg_strictly_decreases_in_alpha():
@@ -231,15 +228,14 @@ def test_rfp_avg_strictly_decreases_in_alpha():
         LayoutKind.HEXAGONAL,
         LayoutKind.CIRCLE,
     )
-    values = [rfp_avg(dep, Layout(k), NeighborMode.NONE) for k in ordered]
+    values = [rfp_avg(dep, k, NeighborMode.NONE) for k in ordered]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_neighbor_mode_ordering():
     """Adjacent mode adds strictly positive power on tessellating layouts."""
     rng = np.random.default_rng(55)
-    for kind in TESSELLATING_KINDS:
-        layout = Layout(kind)
+    for layout in TESSELLATING_KINDS:
         for _ in range(10):
             dep = random_deployment(rng)
             assert rfp_avg(dep, layout, NeighborMode.ADJACENT) > rfp_avg(

@@ -20,12 +20,10 @@ from rfpcompare import (
     builtin_scenario,
     builtin_scenario_ids,
     parse_scenario_file,
-    scenario_to_dict,
-    serialize_scenario,
     sweep_beta,
     validate_scenario,
 )
-from rfpcompare.scenarios import MAX_SWEEP_POINTS
+from rfpcompare.comparison import MAX_SWEEP_POINTS
 
 S1_DOCUMENT = """
 {
@@ -87,23 +85,6 @@ def test_builtin_lookup_is_case_insensitive_and_strict():
     assert builtin_scenario("s2") is builtin_scenario("S2")
     with pytest.raises(ValueError):
         builtin_scenario("S6")
-
-
-# -- serialization round trip -----------------------------------------------------
-
-
-def test_builtin_scenarios_round_trip_through_json():
-    for sid in builtin_scenario_ids():
-        s = builtin_scenario(sid)
-        assert parse_scenario_file(serialize_scenario(s)) == s
-
-
-def test_scenario_to_dict_schema():
-    d = scenario_to_dict(builtin_scenario("S1"))
-    assert set(d) == {
-        "id", "description", "deployment1", "deployment2", "beta1", "layouts", "modes",
-    }
-    assert set(d["deployment1"]) == {"d_max_m", "p_r_th", "gamma", "f_mhz", "eta", "c"}
 
 
 # -- document parsing -------------------------------------------------------------

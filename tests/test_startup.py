@@ -1,13 +1,17 @@
-"""Start-up: the closed-form commands import neither numpy nor the thread pool."""
+"""Start-up: the closed-form commands import neither numpy nor the thread pool,
+and the package's modules import each other only at module level."""
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rfpcompare
 import rfpcompare.cli
 import rfpcompare.comparison
 import rfpcompare.geometry
@@ -62,7 +66,7 @@ CALLER_BINDINGS = [
     (rfpcompare.cli, "closed_form_delta", rfpcompare.comparison),
     (rfpcompare.cli, "parse_scenario_file", rfpcompare.scenarios),
     (rfpcompare.cli, "validate_scenario", rfpcompare.scenarios),
-    (rfpcompare.cli, "sweep_beta", rfpcompare.scenarios),
+    (rfpcompare.cli, "sweep_beta", rfpcompare.comparison),
     (rfpcompare.cli, "run_validation", rfpcompare.selfcheck),
     (rfpcompare.selfcheck, "verify_closed_forms", rfpcompare.comparison),
     (rfpcompare.selfcheck, "estimate_alpha_monte_carlo", rfpcompare.geometry),
@@ -77,3 +81,17 @@ CALLER_BINDINGS = [
                          ids=[f"{c.__name__}.{n}" for c, n, _ in CALLER_BINDINGS])
 def test_layer_functions_stay_bound_at_module_level(caller, name, owner):
     assert getattr(caller, name) is getattr(owner, name)
+
+
+def test_no_function_imports_a_sibling_module():
+    """Sibling modules are imported at module level only, so a cycle between
+    them would fail at import time instead of hiding in a function body.
+    Function-level imports stay for numpy and ``concurrent.futures``, which
+    the closed-form commands never load."""
+    nested = []
+    for path in sorted(Path(rfpcompare.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                           if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert nested == []
