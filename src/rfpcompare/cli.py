@@ -18,6 +18,7 @@ import sys
 import warnings
 from collections.abc import Iterable
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -52,6 +53,12 @@ def _db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
+def _fail(message: str) -> NoReturn:
+    """Report an invalid input as one ``error: `` line and exit 2."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _load_scenario(source: str) -> Scenario:
     if source.upper() in builtin_scenario_ids():
         return builtin_scenario(source)
@@ -60,11 +67,9 @@ def _load_scenario(source: str) -> Scenario:
         try:
             return parse_scenario_file(path.read_text(encoding="utf-8"))
         except (RfpError, OSError, UnicodeDecodeError) as exc:
-            raise click.UsageError(f"invalid scenario file {source!r}: {exc}")
-    raise click.UsageError(
-        f"scenario {source!r} is neither a built-in id "
-        f"({', '.join(builtin_scenario_ids())}) nor an existing file"
-    )
+            _fail(f"invalid scenario file {source!r}: {exc}")
+    _fail(f"scenario {source!r} is neither a built-in id "
+          f"({', '.join(builtin_scenario_ids())}) nor an existing file")
 
 
 def _load_checked_scenario(source: str) -> Scenario:
@@ -236,11 +241,9 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
                 rows.append(row + (closed or [None] * 3) + [rel_diff])
                 objects.append(obj)
     except (RfpError, OverflowError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     if not rows:
-        click.echo("error: nothing to evaluate (empty layout/mode selection)", err=True)
-        sys.exit(2)
+        _fail("nothing to evaluate (empty layout/mode selection)")
     _emit_records(fmt, out, headers, rows, objects)
 
 
@@ -262,9 +265,8 @@ def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_st
     mode = NeighborMode.ADJACENT if neighbors == "on" else NeighborMode.NONE
     try:
         series = sweep_beta(scenario, kind, mode, beta_start, beta_end, beta_step)
-    except (RfpError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    except (RfpError, ValueError, OverflowError) as exc:
+        _fail(str(exc))
 
     headers = ["beta1", "delta_pr_fx"] + (["delta_pr_fx_db"] if show_db else [])
     rows = [[b, v] + ([_db(v)] if show_db else []) for b, v in series]
@@ -303,18 +305,17 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
         lattice = generate_sites(kind, dep.d_max, rings)
         fld = compute_field(lattice, dep, resolution)
         violations = verify_upper_bound(fld, dep, kind)
-    except (RfpError, ValueError, OverflowError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    except (RfpError, ValueError) as exc:
+        _fail(str(exc))
+    except OverflowError as exc:
+        _fail(f"deployment {which}: {exc}")
 
     central = fld.central_cell
     if not central.any():
         # Nothing to average or to check: the summary would print NaN and a
         # vacuous "0 violations".
-        click.echo(f"error: resolution {resolution:.9g} m leaves no usable pixel in "
-                   f"the central cell (pixels: {fld.n_pixels}, excluded: {fld.n_excluded})",
-                   err=True)
-        sys.exit(2)
+        _fail(f"resolution {resolution:.9g} m leaves no usable pixel in the central "
+              f"cell (pixels: {fld.n_pixels}, excluded: {fld.n_excluded})")
     emp_alpha = float(fld.serving_distance[central].mean() / dep.d_max)
     # Band by band, so that the CSV text is never held whole.
     _emit((export_field_csv(band, header=i == 0) for i, band in enumerate(field_bands(fld))),
@@ -339,8 +340,7 @@ def validate(seed, samples):
     try:
         results = run_validation(seed=seed, mc_samples=samples)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.family:<12} {r.name:<32} {r.detail}")

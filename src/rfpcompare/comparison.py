@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedParameterChangeError,
 )
 from .geometry import LayoutKind, TESSELLATING_KINDS
-from .propagation import Deployment, NeighborMode, _bracket, neighbor_count
+from .propagation import Deployment, NeighborMode, _bracket, _power, neighbor_count
 from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
 #: Relative tolerance for closed-form vs general-formula agreement.
@@ -95,10 +95,10 @@ def delta_emitted(pair: DeploymentPair) -> float:
             f"deployments must share eta, got {d1.eta} and {d2.eta}"
         )
     return (
-        pair.delta_d_max ** d1.gamma
-        * d2.d_max ** (d1.gamma - d2.gamma)
+        _power(pair.delta_d_max, d1.gamma, "delta_emitted: (d_max(1)/d_max(2))**gamma1")
+        * _power(d2.d_max, d1.gamma - d2.gamma, "delta_emitted: d_max(2)**(gamma1 - gamma2)")
         * pair.delta_p_r_th
-        * pair.delta_f**d1.eta
+        * _power(pair.delta_f, d1.eta, "delta_emitted: (f(1)/f(2))**eta")
         * pair.delta_c
     )
 

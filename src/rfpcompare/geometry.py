@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from enum import Enum
+from functools import partial
 
 from .errors import NoTessellationError
 
@@ -117,13 +119,26 @@ def cell_contains(kind: LayoutKind, point: tuple[float, float]) -> bool:
 
 #: Tight bounding box ((x_lo, x_hi), (y_lo, y_hi)) of each unit cell.
 _BOUNDING_BOX = {
+    LayoutKind.HIGHWAY: ((-1.0, 1.0), (0.0, 0.0)),
     LayoutKind.SQUARE: ((-1.0 / _SQRT2, 1.0 / _SQRT2), (-1.0 / _SQRT2, 1.0 / _SQRT2)),
     LayoutKind.HEXAGONAL: ((-1.0, 1.0), (-_SQRT3 / 2.0, _SQRT3 / 2.0)),
     LayoutKind.CIRCLE: ((-1.0, 1.0), (-1.0, 1.0)),
 }
 
 _MC_CHUNK = 1 << 20  # candidate points drawn per rejection round
-_MC_BLOCK = 1 << 16  # candidates drawn and masked at a time, so they stay in cache
+_MC_BLOCK = 1 << 16  # candidates in flight over all workers, so they stay in cache
+# Smallest block a worker draws, which caps the workers at 8. A block's numpy
+# calls cost ~10 us of interpreter time under the GIL: on one worker, 2**13-
+# candidate blocks take 3% longer than 2**16 ones, 2**8 ones 4.8 times as long,
+# so smaller blocks would leave more workers queueing on the GIL.
+_MC_MIN_BLOCK = 1 << 13
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def estimate_alpha_monte_carlo(
@@ -134,59 +149,92 @@ def estimate_alpha_monte_carlo(
     Draws exactly ``n_samples`` accepted points (rejection sampling from the
     tight bounding box; for the highway, directly uniform on [-1, 1]), and
     returns the sample mean distance to the origin together with its standard
-    error. Uses numpy's seeded PCG64 generator, so a fixed seed reproduces the
-    estimate bit-for-bit on a given platform.
+    error. Uses numpy's seeded PCG64 generator and reduces without BLAS, so a
+    fixed seed reproduces the estimate bit-for-bit on a given platform, for
+    any number of CPUs and any BLAS thread count.
 
     Points are drawn and reduced one chunk of at most ``_MC_CHUNK`` candidates
-    at a time, so memory does not grow with ``n_samples``. Its m x draws
-    precede its m y draws in the stream; both are taken ``_MC_BLOCK`` at a
-    time, the y from a copy of the generator advanced by m, and the accepted
-    squared distances gather in one buffer. Each chunk's count, mean and
+    at a time, so memory does not grow with ``n_samples``. A chunk's m x draws
+    precede its m y draws in the stream (the highway draws x only). The chunk
+    is cut into blocks, and a thread pool with one worker per usable CPU (at
+    most ``_MC_BLOCK // _MC_MIN_BLOCK``) draws them, ``_MC_BLOCK`` candidates
+    in flight over all workers. Each
+    worker takes a contiguous run of blocks, draws it from copies of the
+    generator advanced to the run's x and y offsets, and packs the accepted
+    distances, in block order, into one chunk buffer from the run's first
+    candidate slot. The runs then slide down in order, so the buffer holds
+    the same values whatever the worker count. Each chunk's count, mean and
     centred sum of squares are merged into running totals with the pairwise
     update of Chan, Golub & LeVeque (1979).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
     kind = LayoutKind(kind)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+    highway = kind is LayoutKind.HIGHWAY
+    (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
     rng = np.random.default_rng(seed)
-    if kind is not LayoutKind.HIGHWAY:
-        (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
-        buf = np.empty(min(_MC_CHUNK, max(2 * n_samples, 4096)))
+    workers = min(_usable_cpus(), _MC_BLOCK // _MC_MIN_BLOCK)
+    block = _MC_BLOCK // workers
+    buf = np.empty(_chunk_candidates(highway, n_samples))
+
+    def draw_run(chunk_rng, m: int, starts: range) -> int:
+        """Accepted distances of the blocks at ``starts``, in block order,
+        into ``buf`` from the run's first candidate slot; returns their count."""
+        x_rng, y_rng = copy.deepcopy(chunk_rng), copy.deepcopy(chunk_rng)
+        x_rng.bit_generator.advance(starts[0])
+        y_rng.bit_generator.advance(m + starts[0])
+        n = starts[0]
+        for start in starts:
+            size = min(block, m - start)
+            x = x_rng.uniform(x_lo, x_hi, size)
+            if highway:
+                np.abs(x, out=buf[n:n + size])
+                n += size
+                continue
+            y = y_rng.uniform(y_lo, y_hi, size)
+            keep = contains_mask(kind, x, y)
+            np.multiply(x, x, out=x)
+            np.multiply(y, y, out=y)
+            np.add(x, y, out=x)
+            slot = buf[n:n + int(np.count_nonzero(keep))]
+            np.compress(keep, x, out=slot)
+            np.sqrt(slot, out=slot)
+            n += slot.size
+        return n - starts[0]
 
     count, mean, m2 = 0, 0.0, 0.0
-    while count < n_samples:
-        remaining = n_samples - count
-        if kind is LayoutKind.HIGHWAY:
-            d = rng.uniform(-1.0, 1.0, min(_MC_CHUNK, remaining))
-            np.abs(d, out=d)
-        else:
-            m = min(_MC_CHUNK, max(2 * remaining, 4096))
-            y_rng = copy.deepcopy(rng)
-            y_rng.bit_generator.advance(m)
-            n = 0
-            for start in range(0, m, _MC_BLOCK):
-                size = min(_MC_BLOCK, m - start)
-                x = rng.uniform(x_lo, x_hi, size)
-                y = y_rng.uniform(y_lo, y_hi, size)
-                keep = contains_mask(kind, x, y)
-                np.multiply(x, x, out=x)
-                np.multiply(y, y, out=y)
-                np.add(x, y, out=x)
-                accepted = int(np.count_nonzero(keep))
-                np.compress(keep, x, out=buf[n:n + accepted])
+    with ThreadPoolExecutor(workers) as pool:
+        while count < n_samples:
+            remaining = n_samples - count
+            m = _chunk_candidates(highway, remaining)
+            starts = range(0, m, block)
+            per_run = -(-len(starts) // workers)
+            runs = [starts[i:i + per_run] for i in range(0, len(starts), per_run)]
+            n = 0  # the runs' accepted distances slide down to one prefix of buf
+            for run, accepted in zip(runs, pool.map(partial(draw_run, rng, m), runs)):
+                if n != run[0]:
+                    buf[n:n + accepted] = buf[run[0]:run[0] + accepted]
                 n += accepted
-            rng = y_rng  # now 2m draws on, past both of the chunk's streams
+            rng.bit_generator.advance(m if highway else 2 * m)
             d = buf[:min(n, remaining)]
-            np.sqrt(d, out=d)
-        n_chunk = d.size
-        mean_chunk = float(d.mean())
-        d -= mean_chunk
-        total = count + n_chunk
-        delta = mean_chunk - mean
-        mean += delta * n_chunk / total
-        m2 += float(np.dot(d, d)) + delta * delta * count * n_chunk / total
-        count = total
-        del d  # freed before the next draw, or the heap fragments: up to +20 MB RSS
+            n_chunk = d.size
+            mean_chunk = float(d.mean())
+            d -= mean_chunk
+            total = count + n_chunk
+            delta = mean_chunk - mean
+            mean += delta * n_chunk / total
+            # einsum's own loop, not BLAS: np.dot's bits vary with the BLAS thread count.
+            m2 += float(np.einsum("i,i->", d, d)) + delta * delta * count * n_chunk / total
+            count = total
 
     return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+
+
+def _chunk_candidates(highway: bool, remaining: int) -> int:
+    """Candidates drawn in a chunk when ``remaining`` samples are still owed:
+    the highway accepts every one, the other cells draw twice as many, and at
+    least 4096."""
+    return min(_MC_CHUNK, remaining if highway else max(2 * remaining, 4096))

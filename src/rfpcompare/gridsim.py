@@ -16,13 +16,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import NoTessellationError
-from .geometry import LayoutKind
+from .geometry import LayoutKind, _usable_cpus
 from .propagation import Deployment, emitted_power
 
 _SQRT3 = math.sqrt(3.0)
@@ -149,13 +148,6 @@ def _tile_shape(nx: int) -> tuple[int, int]:
     """
     width = max(1, min(nx, TILE_PIXELS))
     return TILE_PIXELS // width, width
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ matter because ``d_max`` and ``f`` enter the emitted power with exponents.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -82,9 +83,30 @@ def received_power(
     return p_e / (d**gamma * f**eta * c)
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """``base**exponent``; an OverflowError names the quantity and its operands."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise OverflowError(
+            f"{name} = {base:.9g}**{exponent:.9g} overflows a float"
+        ) from None
+
+
 def emitted_power(dep: Deployment) -> float:
-    """Emitted power that makes the received power at d_max exactly p_r_th."""
-    return dep.p_r_th * dep.d_max**dep.gamma * dep.f**dep.eta * dep.c
+    """Emitted power that makes the received power at d_max exactly p_r_th.
+
+    Raises OverflowError, naming the term, when it exceeds a float.
+    """
+    p_e = (
+        dep.p_r_th
+        * _power(dep.d_max, dep.gamma, "emitted power: d_max**gamma")
+        * _power(dep.f, dep.eta, "emitted power: f**eta")
+        * dep.c
+    )
+    if math.isinf(p_e):
+        raise OverflowError("emitted power: p_r_th * d_max**gamma * f**eta * c overflows a float")
+    return p_e
 
 
 def neighbor_count(layout: LayoutKind, mode: NeighborMode) -> int:
@@ -120,7 +142,7 @@ def rfp_upper_bound(
 def _bracket(x: float, gamma: float, layout: LayoutKind, mode: NeighborMode) -> float:
     """x^-gamma + N * zeta^-gamma: the received power at x * d_max over p_r_th."""
     n_i = neighbor_count(layout, mode)
-    value = x**-gamma
+    value = _power(x, -gamma, "received power: (d/d_max)**-gamma")
     if n_i:
         value += n_i * layout.zeta**-gamma
     return value

@@ -1,7 +1,9 @@
-"""Shared fixtures: CLI child processes that import this checkout's package."""
+"""Shared fixtures: CLI child processes that import this checkout's package,
+and a forced CPU count for the thread pools."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -37,3 +39,24 @@ def run_cli(tmp_path, child_env):
         )
 
     return run
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """``force_cpus(n)`` makes the process see ``n`` usable CPUs and returns
+    the worker counts of the thread pools created from then on."""
+
+    def force(n: int) -> list[int]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    return force

@@ -154,6 +154,28 @@ def test_compare_rejects_invalid_scenario_file(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["compare"],
+    ["sweep", "--layout", "hexagonal", "--beta-start", "0.05", "--beta-end", "0.1",
+     "--beta-step", "0.01"],
+    ["simulate", "--layout", "hexagonal"],
+], ids=["compare", "sweep", "simulate"])
+@pytest.mark.parametrize("source,message", [
+    ("S9", "error: scenario 'S9' is neither a built-in id (S1, S2, S3, S4, S5) "
+           "nor an existing file"),
+    ("bad.json", "error: invalid scenario file 'bad.json': "),
+], ids=["unknown-id", "invalid-file"])
+def test_bad_scenario_is_one_error_line(run_cli, tmp_path, command, source, message):
+    """A bad scenario id or file is reported like every other invalid input:
+    one `error: ` line and exit 2, not click's three-line usage error."""
+    (tmp_path / "bad.json").write_text('{"id": "X"}', encoding="utf-8")
+    proc = run_cli([command[0], "--scenario", source, *command[1:]])
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+    assert proc.stdout == b""
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b"\xff\xfe{"),
@@ -239,6 +261,16 @@ def test_sweep_rejects_beta2_overflow():
     assert "beta2" in result.stderr
 
 
+def test_sweep_names_a_received_power_overflow():
+    """beta1 = 1e-200 at gamma 3 puts beta1**-gamma past a float: one
+    `error: ` line naming the power, where a traceback and exit 1 were."""
+    result = invoke("sweep", "--scenario", "S1", "--layout", "hexagonal",
+                    "--beta-start", "1e-200", "--beta-end", "2e-200", "--beta-step", "1e-200")
+    assert result.exit_code == 2
+    assert result.stderr == ("error: received power: (d/d_max)**-gamma = 1e-200**-3 "
+                             "overflows a float\n")
+
+
 @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
 def test_sweep_refuses_grid_over_point_budget(step):
     result = invoke("sweep", "--scenario", "S5", "--layout", "hexagonal",
@@ -274,13 +306,15 @@ def test_implausible_gamma_is_reported_once(run_cli, tmp_path, args):
         assert lines[0].startswith("warning: deployment1.gamma: gamma = 7.0 ")
 
 
-@pytest.mark.parametrize("args", [
-    ["compare"],
-    ["simulate", "--layout", "square", "--resolution", "1e97"],
+@pytest.mark.parametrize("args,names", [
+    (["compare"], "error: delta_emitted: d_max(2)**(gamma1 - gamma2) = 1e+99**4.4 "),
+    (["simulate", "--layout", "square", "--resolution", "1e97"],
+     "error: deployment 1: emitted power: d_max**gamma = 1e+100**6 "),
 ], ids=["compare", "simulate"])
-def test_float_overflow_is_an_error_line(run_cli, tmp_path, args):
+def test_float_overflow_is_an_error_line(run_cli, tmp_path, args, names):
     """Schema-valid values whose powers overflow a float: d_max(1)^gamma(1)
-    is 1e600. The command exits 2 with one `error: ` line, no traceback."""
+    is 1e600. The command exits 2 with one `error: ` line, no traceback,
+    which names the deployment and the power that overflowed."""
     scenario = {
         "id": "O",
         "deployment1": {"d_max_m": 1e100, "p_r_th": 1, "gamma": 6, "f_mhz": 700},
@@ -291,6 +325,7 @@ def test_float_overflow_is_an_error_line(run_cli, tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert lines[0].startswith(names) and lines[0].endswith(" overflows a float")
     assert proc.stdout == b""
     assert not (tmp_path / "field.csv").exists()
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -279,7 +281,7 @@ def chunked_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, 
         total = count + n_chunk
         delta = mean_chunk - mean
         mean += delta * n_chunk / total
-        m2 += float(np.dot(d, d)) + delta * delta * count * n_chunk / total
+        m2 += float(np.einsum("i,i->", d, d)) + delta * delta * count * n_chunk / total
         count = total
     return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
 
@@ -346,6 +348,55 @@ def test_monte_carlo_peak_is_one_chunk_buffer_plus_blocks(kind):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * _MC_CHUNK * 8, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+@pytest.mark.parametrize("n_samples", MC_SIZES)
+def test_monte_carlo_is_bit_identical_for_any_worker_count(force_cpus, kind, n_samples):
+    """One, two, three or eight workers (the cap, here for 64 CPUs) draw the
+    same candidates from the same stream offsets and pack them in the same
+    order, so the estimates are equal."""
+    results = {}
+    for cpus, workers in ((1, 1), (2, 2), (3, 3), (64, 8)):
+        sizes = force_cpus(cpus)
+        results[cpus] = estimate_alpha_monte_carlo(kind, n_samples, 58121)
+        assert sizes == [workers]
+    assert results[1] == results[2] == results[3] == results[64]
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4])
+@pytest.mark.parametrize("kind", list(LayoutKind))
+def test_monte_carlo_peak_holds_for_any_worker_count(force_cpus, kind, cpus):
+    """The workers share one block budget, so the peak bound above holds at
+    any worker count."""
+    sizes = force_cpus(cpus)
+    test_monte_carlo_peak_is_one_chunk_buffer_plus_blocks(kind)
+    test_monte_carlo_frees_each_chunk_before_the_next(kind)
+    assert sizes == [cpus, cpus]
+
+
+# Prints every kind's estimate at 3 chunks and a short fourth, in a child whose
+# BLAS thread count is set by its environment.
+BLAS_CHILD = """
+from rfpcompare import LayoutKind, estimate_alpha_monte_carlo
+from rfpcompare.geometry import _MC_CHUNK
+for kind in LayoutKind:
+    print(repr(estimate_alpha_monte_carlo(kind, 3 * _MC_CHUNK + 17, 58121)))
+"""
+
+
+def test_monte_carlo_does_not_depend_on_blas_threads(child_env):
+    """np.dot over a chunk gave different bits with one and two BLAS threads;
+    the estimator makes no BLAS call, so its output is the same."""
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", BLAS_CHILD],
+                              env={**child_env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == len(LayoutKind)
+    assert outputs[0] == outputs[1]
 
 
 def test_monte_carlo_highway_close_to_half():

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -326,35 +324,19 @@ def test_field_matches_hypot_oracle(kind, resolution, gamma):
     np.testing.assert_allclose(fld.rfp_total, ref["rfp_total"], rtol=1e-13, atol=0)
 
 
-def force_cpus(monkeypatch, n: int) -> list[int]:
-    """Make the process see ``n`` usable CPUs; returns the worker counts of
-    the thread pools the field kernel creates from then on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
 @pytest.mark.parametrize("kind,resolution,row_tiles", [
     (LayoutKind.HIGHWAY, 0.05, 1),  # two column strips of one tile each
     (LayoutKind.SQUARE, 5.0, 2),
     (LayoutKind.HEXAGONAL, 5.0, 3),
 ])
-def test_field_is_bit_identical_for_any_worker_count(monkeypatch, kind, resolution, row_tiles):
+def test_field_is_bit_identical_for_any_worker_count(force_cpus, kind, resolution, row_tiles):
     """One worker or three: every pixel sweeps the sites in the same order,
     so the arrays are bit-equal, and they match the hypot oracle as above."""
     dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=2.1, f=700.0)
     lattice = generate_sites(kind, 500.0, 2)
     fields = {}
     for n in (1, 3):
-        sizes = force_cpus(monkeypatch, n)
+        sizes = force_cpus(n)
         fields[n] = compute_field(lattice, dep, resolution)
         assert sizes == [min(n, row_tiles)]
     assert spans_partial_tiles(fields[1])
@@ -369,13 +351,13 @@ def test_field_is_bit_identical_for_any_worker_count(monkeypatch, kind, resoluti
     np.testing.assert_allclose(fields[3].rfp_total, ref["rfp_total"], rtol=1e-13, atol=0)
 
 
-def test_field_with_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):
+def test_field_with_more_workers_than_cpus_under_fast_thread_switching(force_cpus):
     """Stress: eight workers over 16 row tiles, switching threads every
     microsecond. A buffer or tile shared between workers would corrupt it."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
-    force_cpus(monkeypatch, 1)
+    force_cpus(1)
     serial = compute_field(lattice, S1_DEP1, 2.0)
-    sizes = force_cpus(monkeypatch, 8)
+    sizes = force_cpus(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -388,8 +370,8 @@ def test_field_with_more_workers_than_cpus_under_fast_thread_switching(monkeypat
                               equal_nan=name == "rfp_total"), name
 
 
-def test_field_worker_exception_reaches_the_caller(monkeypatch):
-    force_cpus(monkeypatch, 2)
+def test_field_worker_exception_reaches_the_caller(monkeypatch, force_cpus):
+    force_cpus(2)
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     raised_in = []
 
@@ -403,10 +385,10 @@ def test_field_worker_exception_reaches_the_caller(monkeypatch):
     assert raised_in and threading.main_thread() not in raised_in
 
 
-def test_field_pixel_on_a_site_is_silent_in_every_worker(monkeypatch):
+def test_field_pixel_on_a_site_is_silent_in_every_worker(force_cpus):
     """numpy's error state does not pass to new threads by itself; the pixel
     at (0, 0) sits on the central site, in the middle of three row tiles."""
-    force_cpus(monkeypatch, 3)
+    force_cpus(3)
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     region = Region(-201.0, 201.0, -201.0, 201.0)
     with warnings.catch_warnings():

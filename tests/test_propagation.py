@@ -65,6 +65,17 @@ def test_emitted_power_examples():
     assert emitted_power(dep) == pytest.approx(6.125e13, rel=1e-12)
 
 
+@pytest.mark.parametrize("dep,message", [
+    (Deployment(1e100, 1.0, 6.0, 700.0), "emitted power: d_max**gamma = 1e+100**6 "),
+    # Each power is finite; their product is not.
+    (Deployment(1e150, 1.0, 2.0, 1e6), "emitted power: p_r_th * d_max**gamma * f**eta * c "),
+], ids=["power", "product"])
+def test_emitted_power_overflow_names_the_term(dep, message):
+    with pytest.raises(OverflowError) as info:
+        emitted_power(dep)
+    assert str(info.value) == message + "overflows a float"
+
+
 def test_edge_closure_for_randomized_deployments():
     """Received power at d_max inverts the edge constraint to 1e-12."""
     rng = np.random.default_rng(314)
