@@ -12,6 +12,7 @@ scenario is not a built-in.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -19,8 +20,6 @@ import warnings
 from collections.abc import Iterable
 from pathlib import Path
 from typing import NoReturn
-
-import click
 
 from . import __version__
 from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair, sweep_beta
@@ -33,7 +32,7 @@ from .gridsim import (
     generate_sites,
     verify_upper_bound,
 )
-from .propagation import NeighborMode
+from .propagation import NeighborMode, in_deployment
 from .scenarios import (
     Scenario,
     builtin_scenario,
@@ -43,10 +42,10 @@ from .scenarios import (
 )
 from .selfcheck import DEFAULT_MC_SAMPLES, DEFAULT_SEED, run_validation
 
-_FORMAT_CHOICE = click.Choice(["table", "csv", "json"])
-_TESSELLATING_CHOICE = click.Choice([k.value for k in TESSELLATING_KINDS])
-_ANY_LAYOUT_CHOICE = click.Choice([k.value for k in LayoutKind])
-_NEIGHBOR_CHOICE = click.Choice(["on", "off"])
+_TESSELLATING_CHOICE = [k.value for k in TESSELLATING_KINDS]
+_NEIGHBOR_CHOICE = ["on", "off"]
+#: Appended to the help of an option whose default the help shows.
+_DEFAULT = " [default: %(default)s]"
 
 
 def _db(value: float) -> float:
@@ -55,7 +54,7 @@ def _db(value: float) -> float:
 
 def _fail(message: str) -> NoReturn:
     """Report an invalid input as one ``error: `` line and exit 2."""
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -85,11 +84,11 @@ def _load_checked_scenario(source: str) -> Scenario:
     violations = validate_scenario(scenario)
     for v in violations:
         if v.severity == "warning":
-            click.echo(f"warning: {v.path}: {v.message}", err=True)
+            print(f"warning: {v.path}: {v.message}", file=sys.stderr)
     errors = [v for v in violations if v.severity == "error"]
     if errors:
         for v in errors:
-            click.echo(f"error: {v.path}: {v.message}", err=True)
+            print(f"error: {v.path}: {v.message}", file=sys.stderr)
         sys.exit(2)
     return scenario
 
@@ -102,14 +101,14 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
     """
     if out is None:
         for piece in pieces:
-            click.echo(piece, nl=False)
+            sys.stdout.write(piece)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             for piece in pieces:
                 fh.write(piece)
     except OSError as exc:
-        click.echo(f"error: cannot write {out!r}: {exc}", err=True)
+        print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
         sys.exit(1)
 
 
@@ -157,17 +156,6 @@ def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list
     _emit(["".join(line.rstrip() + "\n" for line in aligned)], out)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="rfpcompare")
-def main() -> None:
-    """Compare the received RF power of paired cellular deployments.
-
-    Quantifies, from closed forms validated against brute-force geometry and
-    field simulation, how emitted power and received power at average or fixed
-    distance change between two deployments on the same coverage layout.
-    """
-
-
 def _scenario_is_builtin(scenario: Scenario) -> bool:
     """Closed forms apply iff the deployment parameters match a built-in set."""
     if scenario.id not in builtin_scenario_ids():
@@ -176,18 +164,6 @@ def _scenario_is_builtin(scenario: Scenario) -> bool:
     return scenario.dep1 == reference.dep1 and scenario.dep2 == reference.dep2
 
 
-@main.command()
-@click.option("--scenario", "scenario_source", required=True,
-              help="Built-in scenario id (S1..S5) or path to a JSON scenario file.")
-@click.option("--layout", "layout_name", type=_TESSELLATING_CHOICE, default=None,
-              help="Evaluate a single layout.")
-@click.option("--all-layouts", is_flag=True, help="Evaluate highway, square, and hexagonal.")
-@click.option("--neighbors", type=_NEIGHBOR_CHOICE, default=None,
-              help="Neighbor contributions on or off (default: both, per scenario).")
-@click.option("--beta", type=float, default=None, help="Override the scenario's beta1.")
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Write output to a file.")
-@click.option("--db", "show_db", is_flag=True, help="Also render ratios in decibels.")
 def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out, show_db):
     """Evaluate the three deployment ratios for a scenario.
 
@@ -195,8 +171,6 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     received-power ratios at average and fixed distance, next to the
     per-scenario closed form and their relative difference.
     """
-    if layout_name and all_layouts:
-        raise click.UsageError("--layout and --all-layouts are mutually exclusive")
     scenario = _load_checked_scenario(scenario_source)
 
     if layout_name:
@@ -247,16 +221,6 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     _emit_records(fmt, out, headers, rows, objects)
 
 
-@main.command()
-@click.option("--scenario", "scenario_source", required=True)
-@click.option("--layout", "layout_name", type=_TESSELLATING_CHOICE, required=True)
-@click.option("--neighbors", type=_NEIGHBOR_CHOICE, default="off", show_default=True)
-@click.option("--beta-start", type=float, required=True)
-@click.option("--beta-end", type=float, required=True)
-@click.option("--beta-step", type=float, required=True)
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--db", "show_db", is_flag=True)
 def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_step,
           fmt, out, show_db):
     """Sweep beta1 and report the fixed-distance ratio along the grid."""
@@ -275,17 +239,6 @@ def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_st
     _emit_records(fmt, out, headers, rows, objects)
 
 
-@main.command()
-@click.option("--scenario", "scenario_source", default="S1", show_default=True,
-              help="Scenario supplying the deployment parameters.")
-@click.option("--deployment", "which", type=click.Choice(["1", "2"]), default="1",
-              show_default=True, help="Which deployment of the pair to simulate.")
-@click.option("--layout", "layout_name", type=_ANY_LAYOUT_CHOICE, required=True)
-@click.option("--rings", type=int, default=2, show_default=True)
-@click.option("--resolution", type=float, default=5.0, show_default=True,
-              help="Pixel size in meters.")
-@click.option("--out", type=click.Path(), default="field.csv", show_default=True,
-              help="Path of the CSV field export.")
 def simulate(scenario_source, which, layout_name, rings, resolution, out):
     """Simulate the received-power field on an actual site lattice.
 
@@ -298,7 +251,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
         warnings.simplefilter("always", PlausibilityWarning)
         scenario = _load_scenario(scenario_source)
     for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
+        print(f"warning: {w.message}", file=sys.stderr)
     dep = scenario.dep1 if which == "1" else scenario.dep2
     kind = LayoutKind(layout_name)
     try:
@@ -308,7 +261,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     except (RfpError, ValueError) as exc:
         _fail(str(exc))
     except OverflowError as exc:
-        _fail(f"deployment {which}: {exc}")
+        _fail(str(in_deployment(which, exc)))
 
     central = fld.central_cell
     if not central.any():
@@ -321,20 +274,14 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     _emit((export_field_csv(band, header=i == 0) for i, band in enumerate(field_bands(fld))),
           out)
 
-    click.echo(f"layout: {kind.value}  d_max: {dep.d_max:.9g} m  "
-               f"rings: {rings}  resolution: {resolution:.9g} m")
-    click.echo(f"sites: {len(lattice.sites)}  pixels: {fld.n_pixels}  "
-               f"excluded: {fld.n_excluded}")
-    click.echo(f"empirical alpha: {emp_alpha:.9g}  "
-               f"(closed form {kind.alpha:.9g})")
-    click.echo(f"upper-bound violations: {len(violations)}")
-    click.echo(f"field written to: {out}")
+    print(f"layout: {kind.value}  d_max: {dep.d_max:.9g} m  "
+          f"rings: {rings}  resolution: {resolution:.9g} m")
+    print(f"sites: {len(lattice.sites)}  pixels: {fld.n_pixels}  excluded: {fld.n_excluded}")
+    print(f"empirical alpha: {emp_alpha:.9g}  (closed form {kind.alpha:.9g})")
+    print(f"upper-bound violations: {len(violations)}")
+    print(f"field written to: {out}")
 
 
-@main.command()
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--samples", type=int, default=DEFAULT_MC_SAMPLES, show_default=True,
-              help="Monte Carlo sample count for the alpha checks.")
 def validate(seed, samples):
     """Run the self-validation suite and report per-check status."""
     try:
@@ -343,12 +290,82 @@ def validate(seed, samples):
         _fail(str(exc))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        click.echo(f"[{status}] {r.family:<12} {r.name:<32} {r.detail}")
+        print(f"[{status}] {r.family:<12} {r.name:<32} {r.detail}")
     failures = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     if failures:
-        click.echo("failed checks: " + ", ".join(r.name for r in failures), err=True)
+        print("failed checks: " + ", ".join(r.name for r in failures), file=sys.stderr)
         sys.exit(1)
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the command line ``argv`` (default: ``sys.argv[1:]``); any outcome but
+    success raises ``SystemExit``. ``standalone_mode`` changes nothing: it is
+    accepted because ``benchmarks/run.py`` runs commands in-process as
+    ``main(args, standalone_mode=False)``, the call of the former click entry point."""
+    # Text as written: a narrow terminal would otherwise wrap the --version line.
+    parser = argparse.ArgumentParser(
+        prog="rfpcompare", allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Compare the received RF power of paired cellular deployments.\n\n"
+        "Quantifies, from closed forms validated against brute-force geometry and\n"
+        "field simulation, how emitted power and received power at average or fixed\n"
+        "distance change between two deployments on the same coverage layout.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    records = argparse.ArgumentParser(add_help=False)  # the options compare and sweep share
+    records.add_argument("--scenario", dest="scenario_source", required=True,
+                         help="Built-in scenario id (S1..S5) or path to a JSON scenario file.")
+    records.add_argument("--format", dest="fmt", choices=["table", "csv", "json"],
+                         default="table", help=_DEFAULT)
+    records.add_argument("--out", help="Write output to a file.")
+    records.add_argument("--db", dest="show_db", action="store_true",
+                         help="Also render ratios in decibels.")
+
+    def command(run, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        """The subcommand that calls ``run``, described by its docstring."""
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(run.__name__, parents=parents, allow_abbrev=False,
+                                  help=doc.partition("\n")[0], description=doc)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command(compare, records)
+    layouts = sub.add_mutually_exclusive_group()
+    layouts.add_argument("--layout", dest="layout_name", choices=_TESSELLATING_CHOICE,
+                         help="Evaluate a single layout.")
+    layouts.add_argument("--all-layouts", action="store_true",
+                         help="Evaluate highway, square, and hexagonal.")
+    sub.add_argument("--neighbors", choices=_NEIGHBOR_CHOICE,
+                     help="Neighbor contributions on or off (default: both, per scenario).")
+    sub.add_argument("--beta", type=float, help="Override the scenario's beta1.")
+
+    sub = command(sweep, records)
+    sub.add_argument("--layout", dest="layout_name", choices=_TESSELLATING_CHOICE, required=True)
+    sub.add_argument("--neighbors", choices=_NEIGHBOR_CHOICE, default="off", help=_DEFAULT)
+    for bound in ("--beta-start", "--beta-end", "--beta-step"):
+        sub.add_argument(bound, type=float, required=True)
+
+    sub = command(simulate)
+    sub.add_argument("--scenario", dest="scenario_source", default="S1",
+                     help="Scenario supplying the deployment parameters." + _DEFAULT)
+    sub.add_argument("--deployment", dest="which", choices=["1", "2"], default="1",
+                     help="Which deployment of the pair to simulate." + _DEFAULT)
+    sub.add_argument("--layout", dest="layout_name", choices=[k.value for k in LayoutKind],
+                     required=True)
+    sub.add_argument("--rings", type=int, default=2, help=_DEFAULT)
+    sub.add_argument("--resolution", type=float, default=5.0,
+                     help="Pixel size in meters." + _DEFAULT)
+    sub.add_argument("--out", default="field.csv",
+                     help="Path of the CSV field export." + _DEFAULT)
+
+    sub = command(validate)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=_DEFAULT)
+    sub.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
+                     help="Monte Carlo sample count for the alpha checks." + _DEFAULT)
+
+    args = vars(parser.parse_args(argv))
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedParameterChangeError,
 )
 from .geometry import LayoutKind, TESSELLATING_KINDS
-from .propagation import Deployment, NeighborMode, _bracket, _power, neighbor_count
+from .propagation import Deployment, NeighborMode, _bracket, _power, in_deployment, neighbor_count
 from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
 #: Relative tolerance for closed-form vs general-formula agreement.
@@ -103,22 +103,28 @@ def delta_emitted(pair: DeploymentPair) -> float:
     )
 
 
+def _received_ratio(pair: DeploymentPair, x1: float, x2: float) -> float:
+    """Received power at x1 * d_max(1) in deployment (1) over that at
+    x2 * d_max(2) in deployment (2). An overflow names its deployment."""
+    brackets = []
+    for which, x, dep in ((1, x1, pair.dep1), (2, x2, pair.dep2)):
+        try:
+            brackets.append(_bracket(x, dep.gamma, pair.layout, pair.mode))
+        except OverflowError as exc:
+            raise in_deployment(which, exc) from None
+    return pair.delta_p_r_th * brackets[0] / brackets[1]
+
+
 def delta_avg(pair: DeploymentPair) -> float:
     """Received-power ratio at each deployment's own average distance: the
     quotient rfp_avg(1) / rfp_avg(2)."""
-    layout, mode = pair.layout, pair.mode
-    num = _bracket(layout.alpha, pair.dep1.gamma, layout, mode)
-    den = _bracket(layout.alpha, pair.dep2.gamma, layout, mode)
-    return pair.delta_p_r_th * num / den
+    return _received_ratio(pair, pair.layout.alpha, pair.layout.alpha)
 
 
 def delta_fixed(pair: DeploymentPair) -> float:
     """Received-power ratio at the same physical distance beta1 * d_max(1):
     the quotient rfp_fixed(1) at beta1 / rfp_fixed(2) at beta2."""
-    layout, mode = pair.layout, pair.mode
-    num = _bracket(pair.beta1, pair.dep1.gamma, layout, mode)
-    den = _bracket(pair.beta2, pair.dep2.gamma, layout, mode)
-    return pair.delta_p_r_th * num / den
+    return _received_ratio(pair, pair.beta1, pair.beta2)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,11 @@ def _power(base: float, exponent: float, name: str) -> float:
         ) from None
 
 
+def in_deployment(which: int | str, exc: OverflowError) -> OverflowError:
+    """``exc`` with ``deployment {which}: `` before its message."""
+    return OverflowError(f"deployment {which}: {exc}")
+
+
 def emitted_power(dep: Deployment) -> float:
     """Emitted power that makes the received power at d_max exactly p_r_th.
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 import rfpcompare.gridsim as gridsim
 from rfpcompare import (
@@ -19,13 +20,6 @@ from rfpcompare import (
     generate_sites,
     run_validation,
 )
-from rfpcompare.cli import main
-
-runner = CliRunner()
-
-
-def invoke(*args):
-    return runner.invoke(main, list(args))
 
 
 def s1_document(**changes) -> str:
@@ -41,6 +35,49 @@ def table_cells(output: str) -> list[dict[str, str]]:
     lines = [line for line in output.strip().split("\n") if line]
     headers = lines[0].split()
     return [dict(zip(headers, line.split())) for line in lines[2:]]
+
+
+# -- usage ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("columns", ["80", "20"])
+def test_version_prints_name_and_version(monkeypatch, columns):
+    """The same bytes on any terminal, also one too narrow for the line."""
+    monkeypatch.setenv("COLUMNS", columns)
+    result = invoke("--version")
+    assert result.exit_code == 0
+    assert result.stdout == "rfpcompare, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["compare", "--scen", "S1"],
+], ids=["no-command", "abbreviated-option"])
+def test_usage_error_exits_2(args):
+    """No subcommand, or an option given by a prefix of its name, is a usage
+    error: exit 2, with the usage and an `error: ` line on stderr."""
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("usage: rfpcompare") and ": error: " in lines[-1], result.stderr
+
+
+OPTIONS = {
+    "compare": {"--scenario", "--layout", "--all-layouts", "--neighbors", "--beta",
+                "--format", "--out", "--db"},
+    "sweep": {"--scenario", "--layout", "--neighbors", "--beta-start", "--beta-end",
+              "--beta-step", "--format", "--out", "--db"},
+    "simulate": {"--scenario", "--deployment", "--layout", "--rings", "--resolution", "--out"},
+    "validate": {"--seed", "--samples"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_names_every_option(command):
+    result = invoke(command, "--help")
+    assert result.exit_code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", result.stdout)) == OPTIONS[command] | {"--help"}
 
 
 # -- compare -------------------------------------------------------------------
@@ -167,7 +204,7 @@ def test_compare_rejects_invalid_scenario_file(tmp_path):
 ], ids=["unknown-id", "invalid-file"])
 def test_bad_scenario_is_one_error_line(run_cli, tmp_path, command, source, message):
     """A bad scenario id or file is reported like every other invalid input:
-    one `error: ` line and exit 2, not click's three-line usage error."""
+    one `error: ` line and exit 2, not a usage message."""
     (tmp_path / "bad.json").write_text('{"id": "X"}', encoding="utf-8")
     proc = run_cli([command[0], "--scenario", source, *command[1:]])
     assert proc.returncode == 2
@@ -267,8 +304,26 @@ def test_sweep_names_a_received_power_overflow():
     result = invoke("sweep", "--scenario", "S1", "--layout", "hexagonal",
                     "--beta-start", "1e-200", "--beta-end", "2e-200", "--beta-step", "1e-200")
     assert result.exit_code == 2
-    assert result.stderr == ("error: received power: (d/d_max)**-gamma = 1e-200**-3 "
-                             "overflows a float\n")
+    assert result.stderr == ("error: deployment 1: received power: (d/d_max)**-gamma = "
+                             "1e-200**-3 overflows a float\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--layout", "square", "--neighbors", "off", "--beta", "1e-60"],
+    ["sweep", "--layout", "square", "--beta-start", "1e-60", "--beta-end", "1e-60",
+     "--beta-step", "1e-60"],
+], ids=["compare", "sweep"])
+def test_received_power_overflow_names_the_second_deployment(tmp_path, args):
+    """At beta1 = 1e-60 deployment (1) still fits a float, 1e-60**-3 = 1e180;
+    deployment (2), at beta2 = 2e-60 and gamma 6, does not."""
+    doc = tmp_path / "g6.json"
+    doc.write_text(s1_document(deployment2={"d_max_m": 250, "p_r_th": 1, "gamma": 6,
+                                            "f_mhz": 700}), encoding="utf-8")
+    result = invoke(args[0], "--scenario", str(doc), *args[1:])
+    assert result.exit_code == 2
+    assert result.stderr == ("error: deployment 2: received power: (d/d_max)**-gamma = "
+                             "2e-60**-6 overflows a float\n")
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("step", ["1e-9", "5e-324"])

@@ -19,9 +19,7 @@ import hashlib
 from itertools import product
 
 import pytest
-from click.testing import CliRunner
-
-from rfpcompare.cli import main
+from conftest import invoke
 
 FORMATS = ("table", "csv", "json")
 
@@ -93,7 +91,7 @@ OUT_GOLDEN = {
 
 
 def _invoke(args: list[str]) -> bytes:
-    result = CliRunner().invoke(main, args)
+    result = invoke(*args)
     assert result.exit_code == 0, (args, result.output)
     return result.stdout_bytes
 

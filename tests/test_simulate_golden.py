@@ -13,9 +13,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from click.testing import CliRunner
-
-from rfpcompare.cli import main
+from conftest import invoke
 
 # (scenario, deployment, resolution in m) -> layout -> rings -> (stdout, csv) sha256.
 GOLDEN = {
@@ -99,11 +97,11 @@ def _sha256(data: bytes) -> str:
 
 def run_simulate(scenario, which, resolution, layout, rings) -> tuple[str, str]:
     """Run `simulate` in the current directory; return the stdout and CSV digests."""
-    result = CliRunner().invoke(main, [
+    result = invoke(
         "simulate", "--scenario", scenario, "--deployment", which,
         "--layout", layout, "--rings", str(rings), "--resolution", resolution,
         "--out", "field.csv",
-    ])
+    )
     assert result.exit_code == 0, result.output
     with open("field.csv", "rb") as fh:
         csv_bytes = fh.read()

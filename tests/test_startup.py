@@ -1,5 +1,6 @@
 """Start-up: the closed-form commands import neither numpy nor the thread pool,
-and the package's modules import each other only at module level."""
+no command imports click, and the package's modules import each other only at
+module level."""
 
 from __future__ import annotations
 
@@ -20,13 +21,17 @@ import rfpcompare.scenarios
 import rfpcompare.selfcheck
 
 # Imports the package and the CLI, runs one command in-process, and prints
-# whether numpy and the field kernel's thread pool got loaded on the way.
+# whether numpy, the field kernel's thread pool and click got loaded on the way.
 CHILD = """
 import json, sys
 import rfpcompare, rfpcompare.cli
-code = rfpcompare.cli.main(sys.argv[1:], standalone_mode=False)
+try:
+    code = rfpcompare.cli.main(sys.argv[1:], standalone_mode=False)
+except SystemExit as exc:
+    code = exc.code
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "futures": "concurrent.futures" in sys.modules}))
+                  "futures": "concurrent.futures" in sys.modules,
+                  "click": "click" in sys.modules}))
 """
 
 SWEEP = ["sweep", "--scenario", "S5", "--layout", "hexagonal",
@@ -43,7 +48,7 @@ SWEEP = ["sweep", "--scenario", "S5", "--layout", "hexagonal",
 ], ids=["compare", "sweep", "version", "simulate"])
 def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args, loads_arrays):
     """numpy and ``concurrent.futures`` (the field kernel's thread pool) load
-    only for the array commands."""
+    only for the array commands; click loads for none."""
     proc = subprocess.run([sys.executable, "-c", CHILD, *args], cwd=tmp_path,
                           env=child_env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -51,6 +56,7 @@ def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args,
     assert report["code"] in (None, 0)
     assert report["numpy"] is loads_arrays
     assert report["futures"] is loads_arrays
+    assert report["click"] is False
 
 
 # The benchmark's traced mode wraps these functions by rebinding them in the
