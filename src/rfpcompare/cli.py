@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from collections.abc import Iterable
-from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
@@ -61,10 +61,10 @@ def _fail(message: str) -> NoReturn:
 def _load_scenario(source: str) -> Scenario:
     if source.upper() in builtin_scenario_ids():
         return builtin_scenario(source)
-    path = Path(source)
-    if path.exists():
+    if os.path.exists(source):
         try:
-            return parse_scenario_file(path.read_text(encoding="utf-8"))
+            with open(source, encoding="utf-8") as fh:
+                return parse_scenario_file(fh.read())
         except (RfpError, OSError, UnicodeDecodeError) as exc:
             _fail(f"invalid scenario file {source!r}: {exc}")
     _fail(f"scenario {source!r} is neither a built-in id "

@@ -8,9 +8,9 @@ scale; a ratio above 1 means deployment (2) yields the lower value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import (
     BetaOutOfRangeError,
     NoTessellationError,
@@ -24,7 +24,7 @@ from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 CLOSED_FORM_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class DeploymentPair:
     """Two deployments compared on a shared layout.
 
@@ -127,7 +127,7 @@ def delta_fixed(pair: DeploymentPair) -> float:
     return _received_ratio(pair, pair.beta1, pair.beta2)
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonResult:
     """The three ratios for one (scenario, layout, mode) evaluation."""
 
@@ -148,14 +148,8 @@ class ComparisonResult:
 
 def evaluate_pair(pair: DeploymentPair, scenario_id: str = "") -> ComparisonResult:
     """Evaluate all three ratios of a pair from the general formulas."""
-    return ComparisonResult(
-        scenario_id=scenario_id,
-        layout_kind=pair.layout,
-        mode=pair.mode,
-        delta_pe=delta_emitted(pair),
-        delta_pr_avg=delta_avg(pair),
-        delta_pr_fx=delta_fixed(pair),
-    )
+    return ComparisonResult(scenario_id, pair.layout, pair.mode,
+                            delta_emitted(pair), delta_avg(pair), delta_fixed(pair))
 
 
 def closed_form_delta(
@@ -225,7 +219,7 @@ def closed_form_delta(
     return num / den if sid == "S2" else dpth * num / den  # S5
 
 
-@dataclass(frozen=True)
+@record
 class ClosedFormCheck:
     """One closed-form vs general-formula comparison."""
 
@@ -291,13 +285,8 @@ def pair_for(
     beta1: float | None = None,
 ) -> DeploymentPair:
     """Bind a scenario to a concrete layout and neighbor mode."""
-    return DeploymentPair(
-        dep1=scenario.dep1,
-        dep2=scenario.dep2,
-        layout=kind,
-        beta1=scenario.beta1 if beta1 is None else beta1,
-        mode=mode,
-    )
+    return DeploymentPair(scenario.dep1, scenario.dep2, kind,
+                          scenario.beta1 if beta1 is None else beta1, mode)
 
 
 # -- Beta sweeps -------------------------------------------------------------

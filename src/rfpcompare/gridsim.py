@@ -13,13 +13,12 @@ the positive x axis). The highway is sampled as a 1-D strip on the site line.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import partial
 
+from ._record import record
 from .errors import NoTessellationError
 from .geometry import LayoutKind, _usable_cpus
 from .propagation import Deployment, emitted_power
@@ -27,7 +26,7 @@ from .propagation import Deployment, emitted_power
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
+@record
 class Region:
     """Axis-aligned rectangle in meters; a zero-height region is a 1-D strip."""
 
@@ -41,7 +40,7 @@ class Region:
             raise ValueError(f"degenerate region bounds: {self}")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SiteLattice:
     """Concrete site positions of a regular layout around a central site.
 
@@ -233,7 +232,7 @@ def _site_sweep(
     return serving_id, min_d2, total
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RfpField:
     """Per-pixel received-power samples over a rectangular grid.
 
@@ -326,8 +325,10 @@ def field_bands(field: RfpField) -> Iterator[RfpField]:
         rows = slice(r0, r0 + height)
         for c0 in range(0, max(1, len(field.xs)), width):
             cols = slice(c0, c0 + width)
-            yield dataclasses.replace(
-                field,
+            yield RfpField(
+                lattice=field.lattice,
+                resolution=field.resolution,
+                region=field.region,
                 xs=field.xs[cols],
                 ys=field.ys[rows],
                 serving_site=field.serving_site[rows, cols],
@@ -338,7 +339,7 @@ def field_bands(field: RfpField) -> Iterator[RfpField]:
             )
 
 
-@dataclass(frozen=True)
+@record
 class UpperBoundViolation:
     """A pixel whose simulated total power exceeds the neighbor upper bound."""
 

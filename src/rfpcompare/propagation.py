@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import (
     BetaOutOfRangeError,
     BoundNotValidError,
@@ -26,7 +26,7 @@ from .geometry import LayoutKind
 GAMMA_PLAUSIBLE_RANGE = (1.5, 6.5)
 
 
-@dataclass(frozen=True)
+@record
 class Deployment:
     """Radio parameters of one deployment.
 
@@ -54,7 +54,7 @@ class Deployment:
             warnings.warn(
                 f"gamma={self.gamma} is outside the plausible range [{lo}, {hi}]",
                 PlausibilityWarning,
-                stacklevel=2,
+                stacklevel=3,  # the line that called Deployment(...), past record's __init__
             )
 
 

@@ -10,8 +10,8 @@ deployment (1) at one model unit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from ._record import record
 from .errors import (
     BetaOutOfRangeError,
     ScenarioSchemaError,
@@ -28,7 +28,7 @@ _DEFAULT_MODES = (NeighborMode.NONE, NeighborMode.ADJACENT)
 DEFAULT_BETA1 = 0.05
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A named deployment pair plus evaluation settings."""
 
@@ -37,8 +37,8 @@ class Scenario:
     dep1: Deployment
     dep2: Deployment
     beta1: float = DEFAULT_BETA1
-    layouts: tuple[LayoutKind, ...] = field(default=_DEFAULT_LAYOUTS)
-    modes: tuple[NeighborMode, ...] = field(default=_DEFAULT_MODES)
+    layouts: tuple[LayoutKind, ...] = _DEFAULT_LAYOUTS
+    modes: tuple[NeighborMode, ...] = _DEFAULT_MODES
 
     def __post_init__(self) -> None:
         if not 0 < self.beta1 < 1:
@@ -219,7 +219,7 @@ def parse_scenario_file(document: str) -> Scenario:
 
 # -- Validation --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One validation finding; severity is "error" or "warning"."""
 

@@ -6,8 +6,8 @@ other. Everything is seeded, so repeated runs are byte-for-byte reproducible.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
+from ._record import record
 from .comparison import CLOSED_FORM_RTOL, verify_closed_forms
 from .geometry import LayoutKind, TESSELLATING_KINDS, estimate_alpha_monte_carlo
 from .gridsim import compute_field, empirical_alpha, generate_sites, verify_upper_bound
@@ -22,7 +22,7 @@ DEFAULT_MC_SAMPLES = 2_000_000
 MC_ALPHA_TOL = 1e-3
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """Outcome of one self-validation check."""
 

@@ -356,7 +356,7 @@ def test_implausible_gamma_is_reported_once(run_cli, tmp_path, args):
     lines = [line for line in proc.stderr.decode().splitlines() if "gamma" in line]
     assert len(lines) == 1, proc.stderr
     if args[0] == "simulate":
-        assert lines[0].startswith("warning: gamma=7.0 is outside the plausible range")
+        assert lines[0] == "warning: gamma=7.0 is outside the plausible range [1.5, 6.5]"
     else:
         assert lines[0].startswith("warning: deployment1.gamma: gamma = 7.0 ")
 

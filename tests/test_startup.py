@@ -1,5 +1,6 @@
-"""Start-up: the closed-form commands import neither numpy nor the thread pool,
-no command imports click, and the package's modules import each other only at
+"""Start-up: the closed-form commands import neither numpy, the thread pool,
+``dataclasses`` nor ``inspect``, nor (in a bare interpreter) ``pathlib``; no
+command imports click, and the package's modules import each other only at
 module level."""
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import rfpcompare.scenarios
 import rfpcompare.selfcheck
 
 # Imports the package and the CLI, runs one command in-process, and prints
-# whether numpy, the field kernel's thread pool and click got loaded on the way.
+# which of the modules it watches got loaded on the way.
 CHILD = """
 import json, sys
 import rfpcompare, rfpcompare.cli
@@ -29,17 +30,26 @@ try:
     code = rfpcompare.cli.main(sys.argv[1:], standalone_mode=False)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "futures": "concurrent.futures" in sys.modules,
-                  "click": "click" in sys.modules}))
+watched = ["numpy", "concurrent.futures", "click", "dataclasses", "inspect", "pathlib"]
+print(json.dumps({"code": code, **{name: name in sys.modules for name in watched}}))
 """
 
+COMPARE = ["compare", "--scenario", "S2", "--all-layouts"]
 SWEEP = ["sweep", "--scenario", "S5", "--layout", "hexagonal",
          "--beta-start", "0.05", "--beta-end", "0.1", "--beta-step", "0.01"]
 
 
+def run_child(argv: list[str], cwd: Path, env: dict[str, str]) -> dict:
+    """Run CHILD and return its report, after checking the command succeeded."""
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report["code"] in (None, 0)
+    return report
+
+
 @pytest.mark.parametrize("args,loads_arrays", [
-    (["compare", "--scenario", "S2", "--all-layouts"], False),
+    (COMPARE, False),
     (SWEEP, False),
     (["--version"], False),
     # Positive control: the field simulator does load both, so the checks
@@ -48,15 +58,25 @@ SWEEP = ["sweep", "--scenario", "S5", "--layout", "hexagonal",
 ], ids=["compare", "sweep", "version", "simulate"])
 def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args, loads_arrays):
     """numpy and ``concurrent.futures`` (the field kernel's thread pool) load
-    only for the array commands; click loads for none."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, *args], cwd=tmp_path,
-                          env=child_env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    report = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert report["code"] in (None, 0)
+    only for the array commands; click loads for none. The closed-form
+    commands load neither ``dataclasses`` nor the ``inspect`` it pulls in:
+    the package's records are built without them."""
+    report = run_child([sys.executable, "-c", CHILD, *args], tmp_path, child_env)
     assert report["numpy"] is loads_arrays
-    assert report["futures"] is loads_arrays
+    assert report["concurrent.futures"] is loads_arrays
     assert report["click"] is False
+    if not loads_arrays:
+        assert report["dataclasses"] is False
+        assert report["inspect"] is False
+
+
+@pytest.mark.parametrize("args", [COMPARE, ["--version"]], ids=["compare", "version"])
+def test_a_bare_interpreter_does_not_import_pathlib(tmp_path, child_env, args):
+    """Without the site hooks (``-S``), which may load pathlib themselves, the
+    closed-form commands do not import it: scenario files are read with
+    ``open``."""
+    report = run_child([sys.executable, "-S", "-c", CHILD, *args], tmp_path, child_env)
+    assert report["pathlib"] is False
 
 
 # The benchmark's traced mode wraps these functions by rebinding them in the
