@@ -244,7 +244,11 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
 
     Writes the per-pixel CSV and prints a summary: pixel counts, the empirical
     mean serving distance (as a fraction of d_max), and the number of
-    neighbor-upper-bound violations (expected: zero for rings >= 2).
+    neighbor-upper-bound violations. The bound charges each first-ring
+    neighbor the power at zeta * d_max. Up to the 10-ring cap it held in every
+    case measured with gamma >= 2. Below 2 the power of the farther rings
+    grows without limit: at gamma = 1.8 the hexagonal lattice breaks the bound
+    from 6 rings on. Violations get a warning on stderr; the exit code stays 0.
     """
     # Unvalidated: report the constructors' warnings without a source location.
     with warnings.catch_warnings(record=True) as caught:
@@ -280,6 +284,9 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     print(f"empirical alpha: {emp_alpha:.9g}  (closed form {kind.alpha:.9g})")
     print(f"upper-bound violations: {len(violations)}")
     print(f"field written to: {out}")
+    if violations:
+        print(f"warning: the neighbor upper bound fails at {len(violations)} pixels with "
+              f"gamma = {dep.gamma:.9g} and {rings} rings", file=sys.stderr)
 
 
 def validate(seed, samples):

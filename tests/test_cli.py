@@ -400,6 +400,34 @@ def test_simulate_hexagonal_summary_and_csv(tmp_path):
     assert len(text.strip().split("\n")) > 1000
 
 
+def test_simulate_warns_where_the_bound_fails(tmp_path):
+    """At gamma = 1.8 the neighbor sum outgrows the bound: 3972 pixels of a
+    7-ring hexagonal lattice break it. One stderr warning names gamma and the
+    rings; stdout and the CSV keep the bytes recorded before the warning
+    existed, and the exit code stays 0."""
+    scenario = {
+        "id": "G18",
+        "deployment1": {"d_max_m": 100, "p_r_th": 1, "gamma": 1.8, "f_mhz": 700},
+        "deployment2": {"d_max_m": 100, "p_r_th": 1, "gamma": 2.1, "f_mhz": 700},
+    }
+    path, out = tmp_path / "g18.json", tmp_path / "field.csv"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    result = invoke("simulate", "--scenario", str(path), "--layout", "hexagonal",
+                    "--rings", "7", "--resolution", "2", "--out", str(out))
+    assert result.exit_code == 0
+    assert result.stderr == ("warning: the neighbor upper bound fails at 3972 pixels "
+                             "with gamma = 1.8 and 7 rings\n")
+    assert result.stdout == (
+        "layout: hexagonal  d_max: 100 m  rings: 7  resolution: 2 m\n"
+        "sites: 169  pixels: 10450  excluded: 0\n"
+        "empirical alpha: 0.608749905  (closed form 0.607986406)\n"
+        "upper-bound violations: 3972\n"
+        f"field written to: {out}\n"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "07d85e6b455d9fdd1bba7d62eba174f63eca59f64968bfb32e406174f74aa9cb")
+
+
 def test_simulate_circle_exits_2(tmp_path):
     result = invoke("simulate", "--layout", "circle", "--out", str(tmp_path / "f.csv"))
     assert result.exit_code == 2

@@ -30,12 +30,17 @@ from rfpcompare import (
 )
 from rfpcompare.gridsim import (
     MAX_FIELD_PIXELS,
+    SITE_BLOCK,
     TILE_PIXELS,
     UPPER_BOUND_SLACK,
     RfpField,
     UpperBoundViolation,
+    _pixel_axes,
+    _site_sweep,
+    default_region,
     field_bands,
 )
+from rfpcompare import gridsim
 from rfpcompare.propagation import emitted_power
 
 SQRT3 = math.sqrt(3.0)
@@ -82,6 +87,27 @@ def hypot_oracle(lattice: SiteLattice, dep: Deployment, fld) -> dict[str, np.nda
     total[excluded] = np.nan
     return {"serving_site": serving_id, "serving_distance": serving_d,
             "rfp_total": total, "excluded": excluded}
+
+
+def site_loop_oracle(lattice: SiteLattice, xs, ys, gamma=None, scale=1.0):
+    """Reference for ``_site_sweep``: one loop over all sites on the whole
+    grid, with a strict ``<`` nearest-site search (the lowest id wins ties)
+    and, given ``gamma``, the total added site by site as
+    ``np.power(d2, -gamma/2) * scale``."""
+    shape = (len(ys), len(xs))
+    serving_id = np.zeros(shape, dtype=int)
+    min_d2 = np.full(shape, np.inf)
+    total = None if gamma is None else np.zeros(shape)
+    dx2 = (xs - lattice.sites[:, :1]) ** 2
+    dy2 = (ys - lattice.sites[:, 1:]) ** 2
+    for i in range(len(lattice.sites)):
+        d2 = dy2[i, :, None] + dx2[i]
+        closer = d2 < min_d2
+        np.minimum(min_d2, d2, out=min_d2)
+        serving_id[closer] = i
+        if total is not None:
+            total += np.power(d2, -gamma / 2.0) * scale
+    return serving_id, min_d2, total
 
 
 def per_cell_oracle(field) -> str:
@@ -280,7 +306,7 @@ def test_field_values_independent_of_region_partitioning():
     """Per-pixel purity: sub-region values equal the full-region values at the
     same pixel centers, also where the full grid's tiles split differently."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
-    full = compute_field(lattice, S1_DEP1, 1.0, region=Region(-100.0, 100.0, -100.0, 100.0))
+    full = compute_field(lattice, S1_DEP1, 1.0, region=Region(-100.0, 100.0, -100.0, 105.0))
     part = compute_field(lattice, S1_DEP1, 1.0, region=Region(0.0, 100.0, 0.0, 100.0))
     assert spans_partial_tiles(full)
     ix = np.searchsorted(full.xs, part.xs)
@@ -324,10 +350,91 @@ def test_field_matches_hypot_oracle(kind, resolution, gamma):
     np.testing.assert_allclose(fld.rfp_total, ref["rfp_total"], rtol=1e-13, atol=0)
 
 
+def tie_axis(coords: np.ndarray) -> np.ndarray:
+    """The distinct site coordinates and the midpoints of every pair of them."""
+    c = np.unique(coords)
+    return np.unique(np.concatenate([c, ((c[:, None] + c[None, :]) / 2.0).ravel()]))
+
+
+#: Grids for the kernel's oracle test: (xs, ys) from the lattice, and the
+#: tile size in pixels. Small tiles make the serving search prune hard.
+ORACLE_GRIDS = {
+    # Several tiles of the default region, the last one cut short.
+    "tiles": (lambda lat: _pixel_axes(default_region(lat), lat.d_max / 90.0), TILE_PIXELS),
+    # Every site and every midpoint of two: exact ties (highway and hexagonal
+    # midpoints, 4-way at square cell corners), in tiles of 5 pixels.
+    "ties": (lambda lat: (tie_axis(lat.sites[:, 0]), tie_axis(lat.sites[:, 1])), 5),
+    # A region wholly outside the lattice.
+    "outside": (lambda lat: (np.linspace(9.0, 11.0, 61) * lat.spacing,
+                             np.linspace(-1.0, 4.0, 41) * lat.spacing), 64),
+    # One pixel, at a square cell corner.
+    "1x1": (lambda lat: (np.array([0.5 * lat.spacing]), np.array([0.5 * lat.spacing])),
+            TILE_PIXELS),
+    # Tiles of one pixel make the site axis of each reduce contiguous, which
+    # numpy would sum pairwise from 8 terms on, not in site order.
+    "1-pixel-tiles": (lambda lat: (np.linspace(-1.3, 1.7, 9) * lat.d_max,
+                                   np.linspace(-1.1, 0.9, 7) * lat.d_max), 1),
+    # One row, in two column strips.
+    "1xN": (lambda lat: (np.linspace(-3.0, 3.0, TILE_PIXELS + 5) * lat.d_max,
+                         np.array([0.1 * lat.d_max])), TILE_PIXELS),
+    "Nx1": (lambda lat: (np.array([0.1 * lat.d_max]),
+                         np.linspace(-3.0, 3.0, 301) * lat.d_max), TILE_PIXELS),
+}
+
+
+@pytest.mark.parametrize("d_max", [500.0, 1e-150, 1e150])
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
+@pytest.mark.parametrize("kind", TESSELLATING_KINDS, ids=lambda kind: kind.value)
+def test_site_sweep_matches_site_loop_oracle(monkeypatch, kind, grid, d_max):
+    """The blocked kernel with its pruned serving search against the plain
+    loop over sites: serving ids and squared distances bit-equal for every
+    gamma, totals bit-equal for gamma = 2.1 and within 2e-15 for gamma = 3
+    (scale / d2 / sqrt(d2) against np.power). At d_max = 1e-150 the power
+    terms overflow to infinity, at 1e150 they underflow to zero."""
+    axes, tile = ORACLE_GRIDS[grid]
+    monkeypatch.setattr(gridsim, "TILE_PIXELS", tile)
+    lattice = generate_sites(kind, d_max, 3)
+    assert len(lattice.sites) % SITE_BLOCK  # a last block cut short
+    xs, ys = axes(lattice)
+    with np.errstate(all="ignore"):
+        for gamma in (None, 2.1, 3.0):
+            serving, min_d2, total = _site_sweep(lattice, xs, ys, gamma, 1.7)
+            ref_serving, ref_min_d2, ref_total = site_loop_oracle(lattice, xs, ys, gamma, 1.7)
+            assert np.array_equal(serving, ref_serving), gamma
+            assert np.array_equal(min_d2, ref_min_d2), gamma
+            if gamma == 2.1:
+                assert np.array_equal(total, ref_total)
+            elif gamma == 3.0:
+                np.testing.assert_allclose(total, ref_total, rtol=2e-15, atol=0)
+        if grid == "ties" or (grid == "1x1" and kind is LayoutKind.SQUARE):
+            dx2 = (xs - lattice.sites[:, :1]) ** 2
+            dy2 = (ys - lattice.sites[:, 1:]) ** 2
+            d2 = dy2[:, :, None] + dx2[:, None, :]
+            most_tied = int((d2 == ref_min_d2).sum(axis=0).max())
+            assert most_tied >= (4 if kind is LayoutKind.SQUARE else 2)
+
+
+def test_gamma_3_terms_of_far_sites_do_not_overflow():
+    """d_max = 1e102 m passes emitted_power with a small p_r_th, and sites of
+    the tenth ring lie ~1e104 m away: d2 * sqrt(d2) would overflow there
+    (from d2 = 1.8e205 on) and drop 6% of the total. The kernel's
+    scale / d2 / sqrt(d2) matches a reference summed in units of d_max."""
+    d_max = 1e102
+    dep = Deployment(d_max=d_max, p_r_th=1e-20, gamma=3.0, f=700.0)
+    lattice = generate_sites(HEX, d_max, 10)
+    fld = compute_field(lattice, dep, d_max / 20.0)
+    X, Y = np.meshgrid(fld.xs / d_max, fld.ys / d_max)
+    ref = np.zeros(X.shape)
+    for sx, sy in lattice.sites / d_max:
+        ref += dep.p_r_th * ((X - sx) ** 2 + (Y - sy) ** 2) ** -1.5
+    assert fld.n_excluded == 0
+    np.testing.assert_allclose(fld.rfp_total, ref, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("kind,resolution,row_tiles", [
-    (LayoutKind.HIGHWAY, 0.05, 1),  # two column strips of one tile each
-    (LayoutKind.SQUARE, 5.0, 2),
-    (LayoutKind.HEXAGONAL, 5.0, 3),
+    (LayoutKind.HIGHWAY, 0.05, 1),  # three column strips of one tile each
+    (LayoutKind.SQUARE, 7.0, 2),
+    (LayoutKind.HEXAGONAL, 8.0, 3),
 ])
 def test_field_is_bit_identical_for_any_worker_count(force_cpus, kind, resolution, row_tiles):
     """One worker or three: every pixel sweeps the sites in the same order,
@@ -339,6 +446,8 @@ def test_field_is_bit_identical_for_any_worker_count(force_cpus, kind, resolutio
         sizes = force_cpus(n)
         fields[n] = compute_field(lattice, dep, resolution)
         assert sizes == [min(n, row_tiles)]
+    height = TILE_PIXELS // min(len(fields[1].xs), TILE_PIXELS)
+    assert -(-len(fields[1].ys) // height) == row_tiles
     assert spans_partial_tiles(fields[1])
     for name in ("serving_site", "serving_distance", "rfp_serving", "rfp_total", "excluded"):
         assert np.array_equal(getattr(fields[1], name), getattr(fields[3], name),
@@ -352,7 +461,7 @@ def test_field_is_bit_identical_for_any_worker_count(force_cpus, kind, resolutio
 
 
 def test_field_with_more_workers_than_cpus_under_fast_thread_switching(force_cpus):
-    """Stress: eight workers over 16 row tiles, switching threads every
+    """Stress: eight workers over 34 row tiles, switching threads every
     microsecond. A buffer or tile shared between workers would corrupt it."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     force_cpus(1)
@@ -371,8 +480,10 @@ def test_field_with_more_workers_than_cpus_under_fast_thread_switching(force_cpu
 
 
 def test_field_worker_exception_reaches_the_caller(monkeypatch, force_cpus):
+    """gamma = 2.1: the kernel's gamma = 3 path does not call np.power."""
     force_cpus(2)
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=2.1, f=700.0)
     raised_in = []
 
     def failing_power(*args, **kwargs):
@@ -381,13 +492,13 @@ def test_field_worker_exception_reaches_the_caller(monkeypatch, force_cpus):
 
     monkeypatch.setattr(np, "power", failing_power)
     with pytest.raises(ArithmeticError, match="power failed in a worker"):
-        compute_field(lattice, S1_DEP1, 5.0)
+        compute_field(lattice, dep, 5.0)
     assert raised_in and threading.main_thread() not in raised_in
 
 
 def test_field_pixel_on_a_site_is_silent_in_every_worker(force_cpus):
     """numpy's error state does not pass to new threads by itself; the pixel
-    at (0, 0) sits on the central site, in the middle of three row tiles."""
+    at (0, 0) sits on the central site, in a middle one of six row tiles."""
     force_cpus(3)
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     region = Region(-201.0, 201.0, -201.0, 201.0)
@@ -502,9 +613,9 @@ def whole_grid_bound_oracle(field, dep, layout, n_i):
 
 
 @pytest.mark.parametrize("kind,rings,resolution", [
-    (LayoutKind.HEXAGONAL, 1, 5.0),  # three row bands
-    (LayoutKind.SQUARE, 2, 5.0),  # two row bands
-    (LayoutKind.HIGHWAY, 1, 0.05),  # one row in two column bands
+    (LayoutKind.HEXAGONAL, 1, 5.0),  # six row bands
+    (LayoutKind.SQUARE, 2, 5.0),  # three row bands
+    (LayoutKind.HIGHWAY, 1, 0.05),  # one row in three column bands
 ])
 @pytest.mark.parametrize("n_i", [0, 3, None])
 def test_banded_bound_check_matches_whole_grid_oracle(kind, rings, resolution, n_i):
