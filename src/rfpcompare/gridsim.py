@@ -13,10 +13,9 @@ the positive x axis). The highway is sampled as a 1-D strip on the site line.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Iterator
-from functools import partial
+from functools import cache, partial
 
 from ._record import record
 from .errors import NoTessellationError
@@ -136,7 +135,9 @@ MAX_FIELD_PIXELS = 2**22
 #: the bound check. Each kernel worker sweeps its tiles through scratch that
 #: is allocated once per sweep: ``SITE_BLOCK + 1`` tile-sized float buffers
 #: (~460 kB), and for gamma = 3 ``SITE_BLOCK`` more (~390 kB). They stay in
-#: the core's cache while every site is swept over them.
+#: the core's cache while every site is swept over them. The CSV export of a
+#: band takes about 210 bytes of scratch per pixel, for at most
+#: ``CSV_CHUNK_PIXELS`` pixels at a time (~0.9 MB), besides its text.
 TILE_PIXELS = 2**13
 
 #: Sites per numpy call of the field kernel. A reduce adds one block of terms
@@ -503,42 +504,300 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
     return float(np.sqrt(min_d2[central]).mean() / lattice.d_max)
 
 
+_CSV_HEADER = "x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n"
+
+#: Pixels per chunk of the CSV export: whole rows of a band, at least one.
+#: A chunk's values, their text pieces and the formatter's scratch take about
+#: 150 bytes per pixel (0.6 MB at 2**12), its text matrix about 60 more.
+CSV_CHUNK_PIXELS = 2**12
+
+#: Decimal exponents of the values that the CSV formatter writes from their
+#: own digits. Every other value, and 0, inf and NaN, goes through
+#: ``format(v, ".9g")``.
+_FAST_EXPONENTS = range(-290, 290)
+
+#: Largest distance of a fast-path value's scaled mantissa from the nearest
+#: integer. The scaled value is within 2.3e-7 of exact, so one that is further
+#: than 1e-6 from a rounding half rounds as the exact value does.
+_HALF_GUARD = 0.5 - 1e-6
+
+#: Serving ids below this are written from a table; larger ones by ``str``.
+_SMALL_IDS = 1000
+
+
+@cache
+def _csv_tables() -> dict[str, np.ndarray]:
+    """Read-only lookup tables of the CSV formatter, built on its first call.
+
+    Tables by exponent hold one row per exponent of ``_FAST_EXPONENTS`` plus
+    one at each end for the exponents outside it (their power of ten is NaN,
+    so their values fall back). Text is little-endian bytes in ``<u8`` words.
+    """
+    import numpy as np
+    u8 = np.dtype("<u8")
+    exponents = range(_FAST_EXPONENTS.start - 1, _FAST_EXPONENTS.stop + 1)
+    pow10 = np.full(len(exponents), math.nan)
+    head, minus, after, dot, suffix = np.zeros((5, len(exponents)), dtype=u8)
+    keep_row = np.zeros(len(exponents), dtype=np.intp)
+    for i, e in enumerate(exponents):
+        # The text before the first digit, and the place of the point among
+        # the eight digits after it (8: none). Row 9 of "keep": all eight are
+        # decimals.
+        prefix, point, row, exponent = "", 0, 0, ""
+        if e in _FAST_EXPONENTS:
+            pow10[i] = float(f"1e{8 - e}")  # correctly rounded
+            if -4 <= e < 0:
+                prefix, point, row = "0." + "0" * (-e - 1), 8, 9
+            elif 0 <= e <= 8:
+                point = row = e
+            else:
+                exponent = f"e{e:+03d}"
+        head[i] = int.from_bytes((prefix + "0").encode().rjust(8, b"\0"), "little")
+        minus[i] = ord("-") << 8 * (6 - len(prefix))
+        if point < 8:
+            after[i] = 2**64 - (1 << 8 * point)
+            dot[i] = ord(".") << 8 * point
+        suffix[i] = int.from_bytes(exponent.encode(), "little") << 8
+        keep_row[i] = 9 * row
+
+    # Bytes kept of the eight digits after the first (and the point among
+    # them), by row and by their number of trailing zeros.
+    keep = np.zeros(90, dtype=u8)
+    for row in range(10):
+        for zeros in range(9):
+            decimals = 8 - row - zeros
+            length = 8 - zeros if row == 9 else row + 1 + decimals if decimals > 0 else row
+            keep[9 * row + zeros] = (1 << 8 * min(length, 8)) - 1
+
+    # "0000" to "9999" as text, and their trailing zeros, from those of "00"
+    # to "99"; the ids below _SMALL_IDS as text without leading zeros.
+    q = np.arange(100, dtype=u8)
+    pairs = (q // 10 + ord("0")) | (q % 10 + ord("0")) << 8
+    quad = (pairs[:, None] | pairs[None, :] << 16).reshape(-1)
+    pair_zeros = (q % 10 == 0).astype(np.uint8) + (q == 0)
+    zeros = np.where(q[None, :] == 0, 2 + pair_zeros[:, None], pair_zeros[None, :]).reshape(-1)
+    q = np.arange(_SMALL_IDS, dtype=u8)
+    ids = quad[:_SMALL_IDS] >> 8 * (1 + (q < 10) + (q < 100)).astype(u8)
+    tables = {"pow10": pow10, "head": head, "minus": minus, "after": after, "dot": dot,
+              "suffix": suffix, "keep_row": keep_row, "keep": keep, "quad": quad,
+              "zeros": zeros.astype(np.uint8), "ids": ids}
+    for table in tables.values():
+        table.setflags(write=False)
+    return tables
+
+
+def _g9(words: np.ndarray, blank: np.ndarray | None = None) -> np.ndarray:
+    """Replace the floats in the first row of ``words``, (3, n) ``<u8``, by
+    ``format(v, ".9g")`` of each, as three words per value that join to the
+    text, NUL bytes aside: the head (sign, any "0.0..." prefix and the first
+    digit, right-aligned), the next eight bytes (digits and the point,
+    left-aligned), and the tail (the ninth digit and any "e+NN"). Where
+    ``blank`` is set, all three are empty. Returns ``words``; runs under
+    ``np.errstate(all="ignore")``.
+
+    The digits are ``rint(|v| * 10**(8 - e))`` with ``e = floor(log10|v|)``.
+    The power of ten is correctly rounded, so the scaled value is within
+    2.3e-7 of exact. A value whose scaled value lies further than 1e-6 from a
+    rounding half, and whose nine digits lie at least 1 from the ends of
+    [1e8, 1e9), therefore has the digits and the exponent that ``format``
+    gives it; a ``log10`` one off only sends its value to ``format``, which
+    writes every other value too.
+    """
+    import numpy as np
+    t = _csv_tables()
+    head, rest, tail = words
+    digits, low, row = np.empty((3, words.shape[1]), dtype=words.dtype)
+    row = row.view(np.intp)
+    fast, flag, negative = np.empty((3, words.shape[1]), dtype=bool)
+    # Until the first digit goes into the head, the head holds the values,
+    # and the rest holds the scaled values, then the nine digits.
+    values, scaled, rounded = head.view(np.float64), rest.view(np.float64), digits.view(np.float64)
+    np.abs(values, out=scaled)
+    np.log10(scaled, out=rounded)
+    rounded -= _FAST_EXPONENTS.start - 1
+    np.floor(rounded, out=rounded)
+    np.copyto(row, rounded, casting="unsafe")  # clipped by every take
+    t["pow10"].take(row, out=rounded, mode="clip")
+    scaled *= rounded  # NaN outside the fast exponents
+    np.rint(scaled, out=rounded)
+    scaled -= rounded
+    np.abs(scaled, out=scaled)
+    np.less(scaled, _HALF_GUARD, out=fast)
+    mantissa = rest
+    np.copyto(mantissa, rounded, casting="unsafe")
+    np.subtract(mantissa, 10**8 + 1, out=low)
+    np.less_equal(low, 9 * 10**8 - 2, out=flag)
+    fast &= flag
+    if blank is not None:
+        fast |= blank
+    slow = None if fast.all() else np.flatnonzero(~fast)
+    if slow is not None:
+        slow_text = [format(x, ".9g") for x in values[slow].tolist()]
+    np.less(values, 0, out=negative)
+    # The nine digits: the first, then two groups of four.
+    np.floor_divide(mantissa, 10**8, out=head)
+    np.multiply(head, 10**8, out=low)
+    mantissa -= low
+    np.floor_divide(mantissa, 10**4, out=tail)
+    np.multiply(tail, 10**4, out=low)
+    mantissa -= low
+    t["quad"].take(tail, out=digits, mode="clip")
+    t["quad"].take(mantissa, out=low, mode="clip")
+    low <<= 32
+    digits |= low
+    # Trailing zeros, where the last digit is one: their mask is kept for
+    # the end.
+    np.right_shift(digits, 56, out=low)
+    np.equal(low, ord("0"), out=flag)
+    trailing = None
+    if flag.any():
+        trailing = np.flatnonzero(flag)
+        lower, upper = mantissa[trailing], tail[trailing]
+        zeros = t["zeros"].take(lower).astype(np.intp)
+        zeros += t["zeros"].take(upper) * (lower == 0)
+        zeros += t["keep_row"].take(row[trailing], mode="clip")
+        trailing_mask = t["keep"].take(zeros)
+    # The digits after the point's place move up one byte and the point goes
+    # in: L + (H << 8) == digits + 255 * H, H the digits after it.
+    t["after"].take(row, out=low, mode="clip")
+    low &= digits
+    np.right_shift(low, 56, out=tail)
+    t["dot"].take(row, out=rest, mode="clip")
+    rest += digits
+    low *= 255
+    rest += low
+    if trailing is not None:
+        rest[trailing] &= trailing_mask
+        tail[trailing] = 0
+    t["suffix"].take(row, out=low, mode="clip")
+    tail |= low
+    head <<= 56
+    t["head"].take(row, out=low, mode="clip")
+    head |= low
+    if negative.any():
+        t["minus"].take(row, out=low, mode="clip")
+        low *= negative
+        head |= low
+
+    if slow is not None:
+        text = np.array(slow_text, dtype="S16").view(words.dtype).reshape(-1, 2)
+        head[slow] = 0
+        rest[slow] = text[:, 0]
+        tail[slow] = text[:, 1]
+    if blank is not None:
+        words[:, np.flatnonzero(blank)] = 0
+    return words
+
+
+def _cell(pieces: np.ndarray, span: list[int], shape: tuple[int, int],
+          end: bytes = b",") -> list:
+    """The [words, width] pairs of a column of formatted values, in the shape
+    they are written in, with ``end`` after the text. ``span`` holds the
+    bitwise OR of each of the three pieces; the pieces are changed in place."""
+    import numpy as np
+    cell = []
+    for k, piece in enumerate(pieces):
+        if not span[k]:
+            continue
+        if k == 0:  # the head is right-aligned
+            width = 8 - ((span[0] & -span[0]).bit_length() - 1) // 8
+            piece >>= 8 * (8 - width)
+        else:
+            width = (span[k].bit_length() + 7) // 8
+        cell.append([piece.reshape(shape), width])
+    if not cell or cell[-1][1] + len(end) > 8:
+        cell.append([np.zeros((1, 1), dtype=np.dtype("<u8")), 0])
+    cell[-1][0] |= int.from_bytes(end, "little") << 8 * cell[-1][1]
+    cell[-1][1] += len(end)
+    return cell
+
+
+def _band_csv(band: RfpField) -> str:
+    """The CSV rows of one band (no header), ``CSV_CHUNK_PIXELS`` at a time."""
+    import numpy as np
+    ny, nx = band.serving_site.shape
+    if ny * nx == 0:
+        return ""
+    _csv_tables()  # built on the first call, before any scratch
+    height = min(ny, max(1, CSV_CHUNK_PIXELS // nx))
+    with np.errstate(all="ignore"):
+        xy = np.empty((3, nx + ny), dtype=np.dtype("<u8"))
+        np.concatenate((band.xs, band.ys), out=xy[0].view(np.float64))
+        _g9(xy)
+        x_cell = _cell(xy[:, :nx], np.bitwise_or.reduce(xy[:, :nx], axis=1).tolist(), (1, nx))
+        texts = [_rows_csv(band, slice(r0, r0 + height), x_cell, xy[:, nx:])
+                 for r0 in range(0, ny, height)]
+    return "".join(texts)
+
+
+def _rows_csv(band: RfpField, rows: slice, x_cell: list, y_pieces: np.ndarray) -> str:
+    """The CSV rows ``rows`` of a band, given its x cells and the pieces of
+    its y values."""
+    import numpy as np
+    u8 = np.dtype("<u8")
+    excluded = band.excluded[rows]
+    h, nx = excluded.shape
+    n = h * nx
+    pieces = np.empty((3, 3 * n), dtype=u8)
+    np.concatenate((band.serving_distance[rows].reshape(n), band.rfp_serving[rows].reshape(n),
+                    band.rfp_total[rows].reshape(n)), out=pieces[0].view(np.float64))
+    blank = None
+    if excluded.any():
+        blank = np.zeros(3 * n, dtype=bool)
+        blank[n:2 * n] = blank[2 * n:] = excluded.reshape(n)
+    _g9(pieces, blank)
+    y_part = y_pieces[:, rows].copy()
+    cells = [x_cell, _cell(y_part, np.bitwise_or.reduce(y_part, axis=1).tolist(), (h, 1))]
+    sid = band.serving_site[rows].reshape(n)
+    lo, hi = int(sid.min()), int(sid.max())
+    if lo >= 0 and hi < _SMALL_IDS:
+        words = _csv_tables()["ids"].take(sid)
+        words |= ord(",") << 8 * len(str(hi))
+        cells.append([[words.reshape(h, nx), len(str(hi)) + 1]])
+    else:
+        text = np.array([f"{s}," for s in sid.tolist()], dtype="S24")
+        width = max(len(str(lo)), len(str(hi))) + 1
+        words = text.view(u8).reshape(h, nx, 3)
+        cells.append([[words[:, :, k], min(8, width - 8 * k)] for k in range((width + 7) // 8)])
+    spans = np.bitwise_or.reduceat(pieces, [0, n, 2 * n], axis=1).T.tolist()
+    for k in range(3):
+        cells.append(_cell(pieces[:, k * n:(k + 1) * n], spans[k], (h, nx),
+                           b",0\n" if k == 2 else b","))
+    if blank is not None:  # the flag of an excluded pixel is 1
+        last = cells[-1][-1]
+        last[0] = last[0] + (excluded.astype(u8) << 8 * (last[1] - 2))
+
+    # Every word is written whole, left to right: the NUL bytes past a
+    # piece's width land where the next pieces (or the row's padding) go.
+    placed, offset = [], 0
+    for cell in cells:
+        for piece, width in cell:
+            placed.append((offset, piece))
+            offset += width
+    stride = max(offset, placed[-1][0] + 8)
+    buf = bytearray(n * stride)
+    for offset, piece in placed:
+        np.ndarray((h, nx), u8, buffer=buf, offset=offset, strides=(nx * stride, stride))[...] = piece
+    del cells, placed, pieces
+    text = buf.translate(None, b"\0")
+    del buf
+    return text.decode("ascii")
+
+
 def export_field_csv(field: RfpField, *, header: bool = True) -> str:
     """Render the field as CSV, row-major by y then x.
 
-    Floating values carry 9 significant digits; excluded pixels leave the two
-    power columns empty and set the flag column to 1. The texts of
-    ``field_bands(field)``, only the first with the header line, join to the
-    text of the whole field.
+    Floating values are written as ``format(v, ".9g")`` writes them; excluded
+    pixels leave the two power columns empty and set the flag column to 1.
+    The texts of ``field_bands(field)``, only the first with the header line,
+    join to the text of the whole field.
+
+    numpy formats each band, ``CSV_CHUNK_PIXELS`` at a time, with no Python
+    per value: ``_g9`` makes each float's digits by integer arithmetic and
+    leaves to ``format`` the values whose digits it cannot prove exact. The
+    cells go as little-endian words into a NUL-padded byte matrix, one row
+    per pixel, and ``bytearray.translate`` deletes the NUL bytes.
     """
-    buf = io.StringIO()
-    if header:
-        buf.write("x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n")
-    # Band by band, so that no row is wider than one tile. The rows of a band
-    # repeat the same x values: format them once. A row without excluded
-    # pixels fills one template from a list holding each pixel's six fields
-    # in turn; one with an excluded pixel goes cell by cell.
-    for band in field_bands(field):
-        x_cells = [f"{x:.9g}," for x in band.xs.tolist()]
-        template = "%s%s,%d,%.9g,%.9g,%.9g,0\n" * len(x_cells)
-        for iy, y in enumerate(band.ys.tolist()):
-            y_cell = f"{y:.9g}"
-            columns = (
-                x_cells,
-                band.serving_site[iy].tolist(),
-                band.serving_distance[iy].tolist(),
-                band.rfp_serving[iy].tolist(),
-                band.rfp_total[iy].tolist(),
-            )
-            excluded = band.excluded[iy]
-            if excluded.any():
-                buf.write("".join([
-                    f"{x}{y_cell},{sid},{d:.9g},,,1\n" if ex
-                    else f"{x}{y_cell},{sid},{d:.9g},{rs:.9g},{rt:.9g},0\n"
-                    for x, sid, d, rs, rt, ex in zip(*columns, excluded.tolist())
-                ]))
-                continue
-            fields: list = [y_cell] * (6 * len(x_cells))
-            fields[0::6], fields[2::6], fields[3::6], fields[4::6], fields[5::6] = columns
-            buf.write(template % tuple(fields))
-    return buf.getvalue()
+    parts = [_CSV_HEADER] if header else []
+    parts += [_band_csv(band) for band in field_bands(field)]
+    return "".join(parts)

@@ -825,3 +825,115 @@ def test_export_uses_lf_and_9_digit_precision():
     text = export_field_csv(fld)
     assert "\r" not in text
     assert "123.456789" in text.split("\n")[1]
+
+
+# -- The vectorized 9-digit formatter --------------------------------------------
+
+
+def g9_lines(values: np.ndarray) -> str:
+    """The CSV formatter's text of each value, one per line."""
+    words = np.empty((4, len(values)), dtype="<u8")  # three pieces, then a newline
+    words[0] = values.view("<u8")
+    words[3] = ord("\n")
+    with np.errstate(all="ignore"):
+        gridsim._g9(words[:3])
+    return words.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def format_lines(values: np.ndarray) -> str:
+    return "".join(f"{v:.9g}\n" for v in values.tolist())
+
+
+def assert_formats_like_format(values: np.ndarray) -> None:
+    values = np.ascontiguousarray(values, dtype=float)
+    got, want = g9_lines(values), format_lines(values)
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.splitlines(),
+                                            want.splitlines()) if g != w]
+        pytest.fail(f"{len(bad)} of {len(values)} differ, first: {bad[:5]}")
+
+
+def test_formatter_matches_format_on_random_bit_patterns():
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = bits[np.isfinite(bits)]
+    assert len(values) > 999_000
+    # Most random bit patterns lie outside the fast exponents: add as many
+    # log-uniform values inside them.
+    inside = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-290, 290, 100_000)
+    assert_formats_like_format(np.concatenate((values, inside)))
+
+
+def adversarial_values() -> np.ndarray:
+    """Values at the formatter's edges, and their negatives."""
+    rng = np.random.default_rng(7)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers]
+    for steps in (1, 2, 3):  # nextafter neighbours, both ways
+        up, down = powers.copy(), powers.copy()
+        for _ in range(steps):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    # Decade edges after rounding: 999999999.5 and around, at every scale.
+    nines = np.array([9.999999995, 9.9999999949999, 9.99999999500001, 9.99999999, 1.000000005])
+    near.append((nines[:, None] * powers[None, 20:-20]).ravel())
+    # Rounding halves: (k + 0.5) * 10**j, exact for small j.
+    k = rng.integers(10**8, 10**9, 4000).astype(float)
+    j = rng.integers(-300, 290, 4000)
+    halves = [(k + 0.5) * 10.0 ** (j - 8), k + 0.5, (k + 0.5) / 2**20,
+              np.array([0.5, 1.5, 2.5, 0.125, 123456789.5, 987654321.5, 1.00000000500000])]
+    # Nine-digit integers times powers of ten: trailing zeros to strip.
+    whole = (rng.integers(1, 10**9, 4000) // 10 ** rng.integers(0, 9, 4000)).astype(float)
+    scaled = whole * 10.0 ** rng.integers(-12, 12, 4000)
+    # 1e+-290, the fast path's edges, and beyond.
+    edges = np.array([1e290, 1e-290, 9.99999999e289, 1.00000001e-290, 1e291, 1e-291,
+                      9.999999999e289, 1e-289, 1.7976931348623157e308, 2.2250738585072014e-308])
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310, 2.5e-320])
+    values = np.concatenate(near + halves + [whole, scaled, edges, special])
+    return np.concatenate((values, -values))
+
+
+def test_formatter_matches_format_on_adversarial_values():
+    assert_formats_like_format(adversarial_values())
+
+
+def test_formatter_mixes_fast_and_fallback_values_in_one_band():
+    """Every other value of a band falls back to ``format``; blank power cells
+    of excluded pixels sit among both."""
+    rng = np.random.default_rng(3)
+    nx, ny = 64, 32
+    fld = synthetic_field(nx, ny, [(r, c) for r in range(ny) for c in range(0, nx, 5)])
+    slow = np.array([math.nan, 0.0, -0.0, math.inf, 1e300, -1e-300, 5e-324, 123456789.5])
+    for name in ("serving_distance", "rfp_serving", "rfp_total"):
+        column = getattr(fld, name).reshape(-1)
+        column[:] = rng.random(column.size) * 10.0 ** rng.integers(-20, 20, column.size)
+        column[::2] = slow[rng.integers(0, len(slow), column[::2].size)]
+    assert export_field_csv(fld) == per_cell_oracle(fld)
+
+
+@pytest.mark.parametrize("tile", [2**11, 1], ids=["2^11", "1"])
+@pytest.mark.parametrize("nx,ny,excluded_at", [
+    (37, 120, [(0, 0), (55, 36), (119, 20)]),  # several bands of whole rows
+    (2**11 + 3, 1, [(0, 2**11)]),  # a row wider than a band or a chunk
+    (1, 300, [(0, 0), (299, 0)]),  # a single column
+    (1, 1, []),  # a single pixel
+], ids=["rows", "wide-rows", "column", "pixel"])
+def test_band_and_chunk_size_leave_the_bytes_unchanged(monkeypatch, tile, nx, ny, excluded_at):
+    """Bands of 2**11 and of 1 pixel, and chunks of the same size, give the
+    bytes of the per-cell reference; serving ids go up to 10**6."""
+    fld = synthetic_field(nx, ny, excluded_at)
+    ids = fld.serving_site.reshape(-1)
+    ids[:] = np.random.default_rng(nx + ny).integers(0, 10**6 + 1, ids.size)
+    ids[-1] = 10**6
+    monkeypatch.setattr(gridsim, "TILE_PIXELS", tile)
+    monkeypatch.setattr(gridsim, "CSV_CHUNK_PIXELS", tile)
+    text = banded_csv(fld)
+    assert text == per_cell_oracle(fld)
+    assert text.count(CSV_HEADER) == 1
+
+
+def test_serving_ids_past_the_lookup_table():
+    """Ids from 10**4 on are written without the table of small ids."""
+    fld = synthetic_field(50, 4, [(1, 1)])
+    fld.serving_site.reshape(-1)[:] = np.arange(9_990, 9_990 + 200)
+    assert export_field_csv(fld) == per_cell_oracle(fld)
