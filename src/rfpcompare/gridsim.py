@@ -778,6 +778,8 @@ def _rows_csv(band: RfpField, rows: slice, x_cell: list, y_pieces: np.ndarray) -
     buf = bytearray(n * stride)
     for offset, piece in placed:
         np.ndarray((h, nx), u8, buffer=buf, offset=offset, strides=(nx * stride, stride))[...] = piece
+    # Each copy of the text frees what it was made from: the peak holds the
+    # pieces or the matrix, not both with the text.
     del cells, placed, pieces
     text = buf.translate(None, b"\0")
     del buf
