@@ -610,7 +610,7 @@ def _g9(words: np.ndarray, blank: np.ndarray | None = None) -> np.ndarray:
     row = row.view(np.intp)
     fast, flag, negative = np.empty((3, words.shape[1]), dtype=bool)
     # Until the first digit goes into the head, the head holds the values,
-    # and the rest holds the scaled values, then the nine digits.
+    # and the rest the scaled values, then their nine digits as an integer.
     values, scaled, rounded = head.view(np.float64), rest.view(np.float64), digits.view(np.float64)
     np.abs(values, out=scaled)
     np.log10(scaled, out=rounded)
@@ -625,11 +625,13 @@ def _g9(words: np.ndarray, blank: np.ndarray | None = None) -> np.ndarray:
     np.less(scaled, _HALF_GUARD, out=fast)
     mantissa = rest
     np.copyto(mantissa, rounded, casting="unsafe")
+    # At least 1 from the ends of [1e8, 1e9): an unsigned difference.
     np.subtract(mantissa, 10**8 + 1, out=low)
     np.less_equal(low, 9 * 10**8 - 2, out=flag)
     fast &= flag
     if blank is not None:
         fast |= blank
+    # The values that fall back are formatted now, while the head holds them.
     slow = None if fast.all() else np.flatnonzero(~fast)
     if slow is not None:
         slow_text = [format(x, ".9g") for x in values[slow].tolist()]
