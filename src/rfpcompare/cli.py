@@ -19,7 +19,6 @@ import os
 import sys
 import warnings
 from collections.abc import Iterable
-from typing import NoReturn
 
 from . import __version__
 from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair, sweep_beta
@@ -102,11 +101,13 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
         for piece in pieces:
             sys.stdout.write(piece)
+            del piece  # not held while the next piece is made
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             for piece in pieces:
                 fh.write(piece)
+                del piece
     except OSError as exc:
         print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
         sys.exit(1)
@@ -261,7 +262,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     try:
         lattice = generate_sites(kind, dep.d_max, rings)
         fld = compute_field(lattice, dep, resolution)
-        violations = verify_upper_bound(fld, dep, kind)
+        violations = len(verify_upper_bound(fld, dep, kind))
     except (RfpError, ValueError) as exc:
         _fail(str(exc))
     except OverflowError as exc:
@@ -282,10 +283,10 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
           f"rings: {rings}  resolution: {resolution:.9g} m")
     print(f"sites: {len(lattice.sites)}  pixels: {fld.n_pixels}  excluded: {fld.n_excluded}")
     print(f"empirical alpha: {emp_alpha:.9g}  (closed form {kind.alpha:.9g})")
-    print(f"upper-bound violations: {len(violations)}")
+    print(f"upper-bound violations: {violations}")
     print(f"field written to: {out}")
     if violations:
-        print(f"warning: the neighbor upper bound fails at {len(violations)} pixels with "
+        print(f"warning: the neighbor upper bound fails at {violations} pixels with "
               f"gamma = {dep.gamma:.9g} and {rings} rings", file=sys.stderr)
 
 

@@ -14,6 +14,7 @@ the positive x axis). The highway is sampled as a 1-D strip on the site line.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from functools import cache, partial
 
@@ -71,6 +72,10 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
     surrounding sites, the diagonal ones farther than the spacing); hexagonal
     cells are served by a triangular site lattice where every site has six
     equidistant neighbors.
+
+    Sites are ordered by ring (the Chebyshev index for square, the axial
+    distance for hexagonal), then by the angle ``atan2(y, x) % (2 pi)``. A
+    ``d_max`` that puts any site outside the float range raises ``ValueError``.
     """
     import numpy as np
     kind = LayoutKind(kind)
@@ -82,36 +87,29 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
         raise ValueError(f"rings must be in [1, 10], got {rings}")
 
     s = 2.0 * kind.zeta * d_max
-    entries: list[tuple[int, float, float, float]] = []  # (ring, angle, x, y)
-    if kind is LayoutKind.HIGHWAY:
-        for k in range(-rings, rings + 1):
-            x = k * s
-            entries.append((abs(k), math.atan2(0.0, x) % (2 * math.pi), x, 0.0))
-    elif kind is LayoutKind.SQUARE:
-        for i in range(-rings, rings + 1):
-            for j in range(-rings, rings + 1):
-                x, y = i * s, j * s
-                entries.append(
-                    (max(abs(i), abs(j)), math.atan2(y, x) % (2 * math.pi), x, y)
-                )
-    else:
-        # Triangular lattice; basis at 30 and 90 degrees keeps the central
-        # Voronoi cell flat-topped with a vertex at (d_max, 0).
-        a1 = (s * _SQRT3 / 2.0, s / 2.0)
-        a2 = (0.0, s)
-        for q in range(-rings, rings + 1):
-            for r in range(-rings, rings + 1):
-                ring = (abs(q) + abs(r) + abs(q + r)) // 2
-                if ring > rings:
-                    continue
-                x = q * a1[0] + r * a2[0]
-                y = q * a1[1] + r * a2[1]
-                entries.append((ring, math.atan2(y, x) % (2 * math.pi), x, y))
-
-    entries.sort(key=lambda e: (e[0], e[1]))
-    sites = np.array([[x, y] for _, _, x, y in entries], dtype=float)
-    ring_of = np.array([ring for ring, _, _, _ in entries], dtype=int)
-    return SiteLattice(kind=kind, d_max=d_max, rings=rings, sites=sites, ring_of=ring_of)
+    k = np.arange(-rings, rings + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is LayoutKind.HIGHWAY:
+            x, y, ring = k * s, np.zeros(len(k)), np.abs(k)
+        else:
+            i, j = (axis.ravel() for axis in np.meshgrid(k, k, indexing="ij"))
+            if kind is LayoutKind.SQUARE:
+                x, y, ring = i * s, j * s, np.maximum(np.abs(i), np.abs(j))
+            else:
+                # Triangular lattice; basis at 30 and 90 degrees keeps the
+                # central Voronoi cell flat-topped with a vertex at (d_max, 0).
+                ring = (np.abs(i) + np.abs(j) + np.abs(i + j)) // 2
+                keep = ring <= rings
+                i, j, ring = i[keep], j[keep], ring[keep]
+                x, y = i * (s * _SQRT3 / 2.0), i * (s / 2.0) + j * s
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(
+            f"d_max {d_max:.9g} m with {rings} rings puts {kind.value} sites past "
+            f"the largest float, {sys.float_info.max:.6g} m"
+        )
+    order = np.lexsort((np.arctan2(y, x) % (2 * math.pi), ring))
+    sites = np.stack((x, y), axis=1)[order]
+    return SiteLattice(kind=kind, d_max=d_max, rings=rings, sites=sites, ring_of=ring[order])
 
 
 def default_region(lattice: SiteLattice) -> Region:
@@ -136,8 +134,8 @@ MAX_FIELD_PIXELS = 2**22
 #: is allocated once per sweep: ``SITE_BLOCK + 1`` tile-sized float buffers
 #: (~460 kB), and for gamma = 3 ``SITE_BLOCK`` more (~390 kB). They stay in
 #: the core's cache while every site is swept over them. The CSV export of a
-#: band takes about 210 bytes of scratch per pixel, for at most
-#: ``CSV_CHUNK_PIXELS`` pixels at a time (~0.9 MB), besides its text.
+#: band takes about 150 bytes of scratch per pixel (~1.2 MB), besides its
+#: text: the formatter's words of the band's values and its own scratch.
 TILE_PIXELS = 2**13
 
 #: Sites per numpy call of the field kernel. A reduce adds one block of terms
@@ -421,25 +419,15 @@ def field_bands(field: RfpField) -> Iterator[RfpField]:
             )
 
 
-@record
-class UpperBoundViolation:
-    """A pixel whose simulated total power exceeds the neighbor upper bound."""
-
-    x_m: float
-    y_m: float
-    serving_distance_m: float
-    rfp_total: float
-    bound: float
-
-
 #: Relative slack granted to the bound check (floating-point headroom).
 UPPER_BOUND_SLACK = 1e-9
 
 
 def verify_upper_bound(
     field: RfpField, dep: Deployment, layout: LayoutKind, n_i: int | None = None
-) -> list[UpperBoundViolation]:
-    """Check the neighbor upper bound over the central cell.
+) -> np.ndarray:
+    """Check the neighbor upper bound over the central cell; return the
+    centres of the violating pixels as a (k, 2) array of (x, y) in meters.
 
     Every non-excluded central-cell pixel with serving distance at most
     zeta * d_max is tested against the bound with ``n_i`` neighbor terms
@@ -450,7 +438,7 @@ def verify_upper_bound(
     negative control.
     The serving term is the field's own ``rfp_serving``, so ``dep`` must be
     the deployment the field was computed for. The check runs band by band
-    (``field_bands``); violations come in row-major order.
+    (``field_bands``); the centres come in row-major order.
     """
     import numpy as np
     if layout is not field.lattice.kind:
@@ -469,22 +457,13 @@ def verify_upper_bound(
     limit = layout.zeta * dep.d_max
     scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
     neighbor_term = n_i * scale * limit**-dep.gamma
-    violations = []
+    centres = []
     for band in field_bands(field):
         checked = band.central_cell & (band.serving_distance <= limit)
         bound = band.rfp_serving + neighbor_term
-        bad = checked & (band.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK))
-        for iy, ix in np.argwhere(bad):
-            violations.append(
-                UpperBoundViolation(
-                    x_m=float(band.xs[ix]),
-                    y_m=float(band.ys[iy]),
-                    serving_distance_m=float(band.serving_distance[iy, ix]),
-                    rfp_total=float(band.rfp_total[iy, ix]),
-                    bound=float(bound[iy, ix]),
-                )
-            )
-    return violations
+        iy, ix = np.nonzero(checked & (band.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK)))
+        centres.append(np.stack((band.xs[ix], band.ys[iy]), axis=1))
+    return np.concatenate(centres)
 
 
 def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
@@ -505,11 +484,6 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
 
 
 _CSV_HEADER = "x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n"
-
-#: Pixels per chunk of the CSV export: whole rows of a band, at least one.
-#: A chunk's values, their text pieces and the formatter's scratch take about
-#: 150 bytes per pixel (0.6 MB at 2**12), its text matrix about 60 more.
-CSV_CHUNK_PIXELS = 2**12
 
 #: Decimal exponents of the values that the CSV formatter writes from their
 #: own digits. Every other value, and 0, inf and NaN, goes through
@@ -715,56 +689,43 @@ def _cell(pieces: np.ndarray, span: list[int], shape: tuple[int, int],
 
 
 def _band_csv(band: RfpField) -> str:
-    """The CSV rows of one band (no header), ``CSV_CHUNK_PIXELS`` at a time."""
-    import numpy as np
-    ny, nx = band.serving_site.shape
-    if ny * nx == 0:
-        return ""
-    _csv_tables()  # built on the first call, before any scratch
-    height = min(ny, max(1, CSV_CHUNK_PIXELS // nx))
-    with np.errstate(all="ignore"):
-        xy = np.empty((3, nx + ny), dtype=np.dtype("<u8"))
-        np.concatenate((band.xs, band.ys), out=xy[0].view(np.float64))
-        _g9(xy)
-        x_cell = _cell(xy[:, :nx], np.bitwise_or.reduce(xy[:, :nx], axis=1).tolist(), (1, nx))
-        texts = [_rows_csv(band, slice(r0, r0 + height), x_cell, xy[:, nx:])
-                 for r0 in range(0, ny, height)]
-    return "".join(texts)
-
-
-def _rows_csv(band: RfpField, rows: slice, x_cell: list, y_pieces: np.ndarray) -> str:
-    """The CSV rows ``rows`` of a band, given its x cells and the pieces of
-    its y values."""
+    """The CSV rows of one band (no header), formatted in one pass."""
     import numpy as np
     u8 = np.dtype("<u8")
-    excluded = band.excluded[rows]
-    h, nx = excluded.shape
-    n = h * nx
-    pieces = np.empty((3, 3 * n), dtype=u8)
-    np.concatenate((band.serving_distance[rows].reshape(n), band.rfp_serving[rows].reshape(n),
-                    band.rfp_total[rows].reshape(n)), out=pieces[0].view(np.float64))
+    excluded = band.excluded
+    ny, nx = excluded.shape
+    n = ny * nx
+    if n == 0:
+        return ""
+    _csv_tables()  # built on the first call, before any scratch
+    # One run of values per column: x, y, then the three of the pixels.
+    starts = [0, nx, nx + ny, nx + ny + n, nx + ny + 2 * n]
+    pieces = np.empty((3, nx + ny + 3 * n), dtype=u8)
+    np.concatenate((band.xs, band.ys, band.serving_distance.reshape(n),
+                    band.rfp_serving.reshape(n), band.rfp_total.reshape(n)),
+                   out=pieces[0].view(np.float64))
     blank = None
     if excluded.any():
-        blank = np.zeros(3 * n, dtype=bool)
-        blank[n:2 * n] = blank[2 * n:] = excluded.reshape(n)
-    _g9(pieces, blank)
-    y_part = y_pieces[:, rows].copy()
-    cells = [x_cell, _cell(y_part, np.bitwise_or.reduce(y_part, axis=1).tolist(), (h, 1))]
-    sid = band.serving_site[rows].reshape(n)
+        blank = np.zeros(pieces.shape[1], dtype=bool)
+        blank[starts[3]:starts[4]] = blank[starts[4]:] = excluded.reshape(n)
+    with np.errstate(all="ignore"):
+        _g9(pieces, blank)
+    columns = np.split(pieces, starts[1:], axis=1)
+    spans = np.bitwise_or.reduceat(pieces, starts, axis=1).T.tolist()
+    cells = [_cell(columns[0], spans[0], (1, nx)), _cell(columns[1], spans[1], (ny, 1))]
+    sid = band.serving_site.reshape(n)
     lo, hi = int(sid.min()), int(sid.max())
     if lo >= 0 and hi < _SMALL_IDS:
         words = _csv_tables()["ids"].take(sid)
         words |= ord(",") << 8 * len(str(hi))
-        cells.append([[words.reshape(h, nx), len(str(hi)) + 1]])
+        cells.append([[words.reshape(ny, nx), len(str(hi)) + 1]])
     else:
         text = np.array([f"{s}," for s in sid.tolist()], dtype="S24")
         width = max(len(str(lo)), len(str(hi))) + 1
-        words = text.view(u8).reshape(h, nx, 3)
+        words = text.view(u8).reshape(ny, nx, 3)
         cells.append([[words[:, :, k], min(8, width - 8 * k)] for k in range((width + 7) // 8)])
-    spans = np.bitwise_or.reduceat(pieces, [0, n, 2 * n], axis=1).T.tolist()
-    for k in range(3):
-        cells.append(_cell(pieces[:, k * n:(k + 1) * n], spans[k], (h, nx),
-                           b",0\n" if k == 2 else b","))
+    for k in range(2, 5):
+        cells.append(_cell(columns[k], spans[k], (ny, nx), b",0\n" if k == 4 else b","))
     if blank is not None:  # the flag of an excluded pixel is 1
         last = cells[-1][-1]
         last[0] = last[0] + (excluded.astype(u8) << 8 * (last[1] - 2))
@@ -779,10 +740,10 @@ def _rows_csv(band: RfpField, rows: slice, x_cell: list, y_pieces: np.ndarray) -
     stride = max(offset, placed[-1][0] + 8)
     buf = bytearray(n * stride)
     for offset, piece in placed:
-        np.ndarray((h, nx), u8, buffer=buf, offset=offset, strides=(nx * stride, stride))[...] = piece
+        np.ndarray((ny, nx), u8, buffer=buf, offset=offset, strides=(nx * stride, stride))[...] = piece
     # Each copy of the text frees what it was made from: the peak holds the
     # pieces or the matrix, not both with the text.
-    del cells, placed, pieces
+    del cells, placed, pieces, columns
     text = buf.translate(None, b"\0")
     del buf
     return text.decode("ascii")
@@ -796,11 +757,12 @@ def export_field_csv(field: RfpField, *, header: bool = True) -> str:
     The texts of ``field_bands(field)``, only the first with the header line,
     join to the text of the whole field.
 
-    numpy formats each band, ``CSV_CHUNK_PIXELS`` at a time, with no Python
-    per value: ``_g9`` makes each float's digits by integer arithmetic and
-    leaves to ``format`` the values whose digits it cannot prove exact. The
-    cells go as little-endian words into a NUL-padded byte matrix, one row
-    per pixel, and ``bytearray.translate`` deletes the NUL bytes.
+    numpy formats each band in one pass, with no Python per value: one
+    ``_g9`` call makes the digits of the band's x, y and three value columns
+    by integer arithmetic, and leaves to ``format`` the values whose digits it
+    cannot prove exact. The cells go as little-endian words into one
+    NUL-padded byte matrix, one row per pixel, and ``bytearray.translate``
+    deletes the NUL bytes.
     """
     parts = [_CSV_HEADER] if header else []
     parts += [_band_csv(band) for band in field_bands(field)]

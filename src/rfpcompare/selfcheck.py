@@ -152,13 +152,13 @@ def _simulation_checks() -> list[CheckResult]:
     dep = Deployment(d_max=500.0, p_r_th=1.0, gamma=3.0, f=700.0)
     lattice = generate_sites(LayoutKind.HEXAGONAL, dep.d_max, rings=2)
     fld = compute_field(lattice, dep, resolution=20.0)
-    violations = verify_upper_bound(fld, dep, LayoutKind.HEXAGONAL)
+    violations = len(verify_upper_bound(fld, dep, LayoutKind.HEXAGONAL))
     bound_check = CheckResult(
         family="simulation",
         name="hexagonal-upper-bound",
         passed=not violations,
         detail=(
-            f"{len(violations)} violations over {fld.n_pixels} pixels "
+            f"{violations} violations over {fld.n_pixels} pixels "
             f"({fld.n_excluded} excluded)"
         ),
     )

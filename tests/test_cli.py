@@ -492,6 +492,20 @@ def test_simulate_refuses_grid_over_pixel_budget(tmp_path, resolution):
     assert not out.exists()
 
 
+def test_simulate_refuses_sites_past_the_float_range(tmp_path):
+    """A d_max whose tenth highway ring overflows is refused when the lattice
+    is built, before the pixel budget."""
+    doc, out = tmp_path / "huge.json", tmp_path / "f.csv"
+    deployment = {"d_max_m": 1e307, "p_r_th": 1, "gamma": 3, "f_mhz": 700}
+    doc.write_text(s1_document(deployment1=deployment, deployment2=deployment), encoding="utf-8")
+    result = invoke("simulate", "--scenario", str(doc), "--layout", "highway", "--rings", "10",
+                    "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr == ("error: d_max 1e+307 m with 10 rings puts highway sites past "
+                             "the largest float, 1.79769e+308 m\n")
+    assert not out.exists()
+
+
 def test_simulate_names_an_infinite_resolution(tmp_path):
     out = tmp_path / "f.csv"
     result = invoke("simulate", "--layout", "hexagonal", "--resolution", "inf",

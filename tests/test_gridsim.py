@@ -34,7 +34,6 @@ from rfpcompare.gridsim import (
     TILE_PIXELS,
     UPPER_BOUND_SLACK,
     RfpField,
-    UpperBoundViolation,
     _pixel_axes,
     _site_sweep,
     default_region,
@@ -193,6 +192,61 @@ def test_generate_sites_rejects_bad_inputs():
         generate_sites(LayoutKind.HEXAGONAL, 500.0, 11)
     with pytest.raises(ValueError):
         generate_sites(LayoutKind.HEXAGONAL, -5.0, 1)
+
+
+def test_generate_sites_refuses_sites_past_the_float_range():
+    """A lattice whose outer ring overflows is refused, naming d_max, the rings
+    and the limit; one ring fewer, or a smaller d_max, still builds."""
+    for kind, d_max, rings in [(LayoutKind.HIGHWAY, 1e307, 9), (LayoutKind.SQUARE, 1.7e308, 1),
+                               (LayoutKind.HEXAGONAL, 1.7e308, 1), (LayoutKind.HEXAGONAL, 1e308, 2)]:
+        with pytest.raises(ValueError) as refused:
+            generate_sites(kind, d_max, rings)
+        assert str(refused.value).startswith(f"d_max {d_max:.9g} m with {rings} rings ")
+        assert str(refused.value).endswith(" the largest float, 1.79769e+308 m")
+    for kind, d_max, rings in [(LayoutKind.HIGHWAY, 1e307, 8), (LayoutKind.SQUARE, 1e307, 10),
+                               (LayoutKind.HEXAGONAL, 1e307, 10)]:
+        assert np.isfinite(generate_sites(kind, d_max, rings).sites).all()
+
+
+def loop_sites_oracle(kind: LayoutKind, d_max: float, rings: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``generate_sites``: sites and rings built one at a time
+    with ``math.atan2``, then sorted by (ring, angle)."""
+    s = 2.0 * kind.zeta * d_max
+    entries = []  # (ring, angle, x, y)
+    if kind is LayoutKind.HIGHWAY:
+        for k in range(-rings, rings + 1):
+            x = k * s
+            entries.append((abs(k), math.atan2(0.0, x) % (2 * math.pi), x, 0.0))
+    elif kind is LayoutKind.SQUARE:
+        for i in range(-rings, rings + 1):
+            for j in range(-rings, rings + 1):
+                x, y = i * s, j * s
+                entries.append((max(abs(i), abs(j)), math.atan2(y, x) % (2 * math.pi), x, y))
+    else:
+        a1 = (s * SQRT3 / 2.0, s / 2.0)
+        a2 = (0.0, s)
+        for q in range(-rings, rings + 1):
+            for r in range(-rings, rings + 1):
+                ring = (abs(q) + abs(r) + abs(q + r)) // 2
+                if ring > rings:
+                    continue
+                x = q * a1[0] + r * a2[0]
+                y = q * a1[1] + r * a2[1]
+                entries.append((ring, math.atan2(y, x) % (2 * math.pi), x, y))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    sites = np.array([[x, y] for _, _, x, y in entries], dtype=float)
+    ring_of = np.array([ring for ring, _, _, _ in entries], dtype=int)
+    return sites, ring_of
+
+
+@pytest.mark.parametrize("d_max", [1e-150, 50.0, 123.456, 500.0, 1e150, 1e306])
+@pytest.mark.parametrize("kind", TESSELLATING_KINDS, ids=lambda k: k.value)
+def test_generate_sites_matches_loop_oracle(kind, d_max):
+    for rings in range(1, 11):
+        lattice = generate_sites(kind, d_max, rings)
+        sites, ring_of = loop_sites_oracle(kind, d_max, rings)
+        assert lattice.sites.tobytes() == sites.tobytes(), rings
+        assert lattice.ring_of.tobytes() == ring_of.tobytes(), rings
 
 
 def test_generation_is_deterministic():
@@ -551,20 +605,20 @@ def test_highway_field_is_a_single_row():
 def test_upper_bound_holds_on_hexagonal_lattice_rings2():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 2)
     fld = compute_field(lattice, S1_DEP1, resolution=5.0)
-    assert verify_upper_bound(fld, S1_DEP1, HEX) == []
+    assert verify_upper_bound(fld, S1_DEP1, HEX).shape == (0, 2)
 
 
 def test_upper_bound_holds_on_rings3_at_5m():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 3)
     fld = compute_field(lattice, S1_DEP1, resolution=5.0)
-    assert verify_upper_bound(fld, S1_DEP1, HEX) == []
+    assert verify_upper_bound(fld, S1_DEP1, HEX).shape == (0, 2)
 
 
 def test_upper_bound_holds_for_all_layouts():
     for kind in TESSELLATING_KINDS:
         lattice = generate_sites(kind, 500.0, 2)
         fld = compute_field(lattice, S1_DEP1, resolution=10.0)
-        assert verify_upper_bound(fld, S1_DEP1, kind) == [], kind
+        assert verify_upper_bound(fld, S1_DEP1, kind).shape == (0, 2), kind
 
 
 def test_upper_bound_negative_control_violates_everywhere():
@@ -584,9 +638,12 @@ def test_upper_bound_checks_only_the_validity_region():
     beyond = central & (fld.serving_distance > HEX.zeta * 500.0)
     assert int(beyond.sum()) > 0  # hexagon corners exist beyond the inradius
     # ... and even with n_i = 0 those pixels never appear among violations.
-    violations = verify_upper_bound(fld, S1_DEP1, HEX, n_i=0)
-    limit = HEX.zeta * 500.0
-    assert all(v.serving_distance_m <= limit for v in violations)
+    centres = verify_upper_bound(fld, S1_DEP1, HEX, n_i=0)
+    assert len(centres) > 0
+    ix = np.searchsorted(fld.xs, centres[:, 0])
+    iy = np.searchsorted(fld.ys, centres[:, 1])
+    assert np.array_equal(fld.xs[ix], centres[:, 0]) and np.array_equal(fld.ys[iy], centres[:, 1])
+    assert (fld.serving_distance[iy, ix] <= HEX.zeta * 500.0).all()
 
 
 def whole_grid_bound_oracle(field, dep, layout, n_i):
@@ -600,16 +657,7 @@ def whole_grid_bound_oracle(field, dep, layout, n_i):
             + n_i * scale * limit**-dep.gamma
         )
     bad = checked & (field.rfp_total > bound * (1.0 + UPPER_BOUND_SLACK))
-    return [
-        UpperBoundViolation(
-            x_m=float(field.xs[ix]),
-            y_m=float(field.ys[iy]),
-            serving_distance_m=float(field.serving_distance[iy, ix]),
-            rfp_total=float(field.rfp_total[iy, ix]),
-            bound=float(bound[iy, ix]),
-        )
-        for iy, ix in np.argwhere(bad)
-    ]
+    return np.array([[field.xs[ix], field.ys[iy]] for iy, ix in np.argwhere(bad)]).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("kind,rings,resolution", [
@@ -624,13 +672,15 @@ def test_banded_bound_check_matches_whole_grid_oracle(kind, rings, resolution, n
     layout = kind
     bands = list(field_bands(fld))
     assert len(bands) > 1
-    violations = verify_upper_bound(fld, S1_DEP1, layout, n_i=n_i)
+    centres = verify_upper_bound(fld, S1_DEP1, layout, n_i=n_i)
     expected_n_i = lattice.n_first_ring if n_i is None else n_i
-    assert violations == whole_grid_bound_oracle(fld, S1_DEP1, layout, expected_n_i)
+    expected = whole_grid_bound_oracle(fld, S1_DEP1, layout, expected_n_i)
+    assert centres.dtype == np.float64
+    assert np.array_equal(centres, expected)
     if n_i == 0:
         per_band = [verify_upper_bound(band, S1_DEP1, layout, n_i=0) for band in bands]
-        assert sum(1 for found in per_band if found) > 1  # spread over several bands
-        assert [v for found in per_band for v in found] == violations
+        assert sum(1 for found in per_band if len(found)) > 1  # spread over several bands
+        assert np.array_equal(np.concatenate(per_band), centres)
 
 
 def test_upper_bound_rejects_mismatched_inputs():
@@ -914,19 +964,18 @@ def test_formatter_mixes_fast_and_fallback_values_in_one_band():
 @pytest.mark.parametrize("tile", [2**11, 1], ids=["2^11", "1"])
 @pytest.mark.parametrize("nx,ny,excluded_at", [
     (37, 120, [(0, 0), (55, 36), (119, 20)]),  # several bands of whole rows
-    (2**11 + 3, 1, [(0, 2**11)]),  # a row wider than a band or a chunk
+    (2**11 + 3, 1, [(0, 2**11)]),  # a row wider than a band
     (1, 300, [(0, 0), (299, 0)]),  # a single column
     (1, 1, []),  # a single pixel
 ], ids=["rows", "wide-rows", "column", "pixel"])
 def test_band_and_chunk_size_leave_the_bytes_unchanged(monkeypatch, tile, nx, ny, excluded_at):
-    """Bands of 2**11 and of 1 pixel, and chunks of the same size, give the
-    bytes of the per-cell reference; serving ids go up to 10**6."""
+    """Bands of 2**11 and of 1 pixel give the bytes of the per-cell
+    reference; serving ids go up to 10**6."""
     fld = synthetic_field(nx, ny, excluded_at)
     ids = fld.serving_site.reshape(-1)
     ids[:] = np.random.default_rng(nx + ny).integers(0, 10**6 + 1, ids.size)
     ids[-1] = 10**6
     monkeypatch.setattr(gridsim, "TILE_PIXELS", tile)
-    monkeypatch.setattr(gridsim, "CSV_CHUNK_PIXELS", tile)
     text = banded_csv(fld)
     assert text == per_cell_oracle(fld)
     assert text.count(CSV_HEADER) == 1

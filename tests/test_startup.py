@@ -1,7 +1,7 @@
 """Start-up: the closed-form commands import neither numpy, the thread pool,
-``dataclasses`` nor ``inspect``, nor (in a bare interpreter) ``pathlib``; no
-command imports click, and the package's modules import each other only at
-module level."""
+``dataclasses`` nor ``inspect``, nor (in a bare interpreter) ``pathlib`` or
+``typing``; no command imports click, and the package's modules import each
+other only at module level."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ try:
     code = rfpcompare.cli.main(sys.argv[1:], standalone_mode=False)
 except SystemExit as exc:
     code = exc.code
-watched = ["numpy", "concurrent.futures", "click", "dataclasses", "inspect", "pathlib"]
+watched = ["numpy", "concurrent.futures", "click", "dataclasses", "inspect", "pathlib", "typing"]
 print(json.dumps({"code": code, **{name: name in sys.modules for name in watched}}))
 """
 
@@ -72,11 +72,12 @@ def test_numpy_is_imported_only_by_the_array_commands(tmp_path, child_env, args,
 
 @pytest.mark.parametrize("args", [COMPARE, ["--version"]], ids=["compare", "version"])
 def test_a_bare_interpreter_does_not_import_pathlib(tmp_path, child_env, args):
-    """Without the site hooks (``-S``), which may load pathlib themselves, the
-    closed-form commands do not import it: scenario files are read with
-    ``open``."""
+    """Without the site hooks (``-S``), which may load pathlib and typing
+    themselves, the closed-form commands import neither: scenario files are
+    read with ``open``, and annotations stay unevaluated strings."""
     report = run_child([sys.executable, "-S", "-c", CHILD, *args], tmp_path, child_env)
     assert report["pathlib"] is False
+    assert report["typing"] is False
 
 
 # The benchmark's traced mode wraps these functions by rebinding them in the
