@@ -292,6 +292,8 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
 
 def validate(seed, samples):
     """Run the self-validation suite and report per-check status."""
+    if seed < 0:
+        _fail(f"--seed must be >= 0, got {seed}")
     try:
         results = run_validation(seed=seed, mc_samples=samples)
     except ValueError as exc:

@@ -128,9 +128,9 @@ _BOUNDING_BOX = {
 _MC_CHUNK = 1 << 20  # candidate points drawn per rejection round
 _MC_BLOCK = 1 << 16  # candidates in flight over all workers, so they stay in cache
 # Smallest block a worker draws, which caps the workers at 8. A block's numpy
-# calls cost ~10 us of interpreter time under the GIL: on one worker, 2**13-
-# candidate blocks take 3% longer than 2**16 ones, 2**8 ones 4.8 times as long,
-# so smaller blocks would leave more workers queueing on the GIL.
+# calls cost ~10-13 us of interpreter time under the GIL: on one worker, 2**13-
+# candidate blocks take up to 14% longer than 2**16 ones, 2**8 ones 3.9-5
+# times as long, so smaller blocks would leave more workers queueing on the GIL.
 _MC_MIN_BLOCK = 1 << 13
 
 
@@ -158,14 +158,15 @@ def estimate_alpha_monte_carlo(
     precede its m y draws in the stream (the highway draws x only). The chunk
     is cut into blocks, and a thread pool with one worker per usable CPU (at
     most ``_MC_BLOCK // _MC_MIN_BLOCK``) draws them, ``_MC_BLOCK`` candidates
-    in flight over all workers. Each
-    worker takes a contiguous run of blocks, draws it from copies of the
-    generator advanced to the run's x and y offsets, and packs the accepted
-    distances, in block order, into one chunk buffer from the run's first
-    candidate slot. The runs then slide down in order, so the buffer holds
-    the same values whatever the worker count. Each chunk's count, mean and
-    centred sum of squares are merged into running totals with the pairwise
-    update of Chan, Golub & LeVeque (1979).
+    in flight over all workers. Each worker takes a contiguous run of blocks,
+    draws it into x and y rows it reuses from copies of the generator
+    advanced to the run's x and y offsets, and packs the accepted distances,
+    in block order, into one chunk buffer from the run's first candidate
+    slot; the highway and the square accept every candidate and skip the
+    mask. The runs then slide down in order, so the buffer holds the same
+    values whatever the worker count. Each chunk's count, mean and centred
+    sum of squares are merged into running totals with the pairwise update
+    of Chan, Golub & LeVeque (1979).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -180,29 +181,48 @@ def estimate_alpha_monte_carlo(
     block = _MC_BLOCK // workers
     buf = np.empty(_chunk_candidates(highway, n_samples))
 
+    # Per-worker scratch, taken for a run and put back: a block's x, y and mask.
+    scratch = [(np.empty(block), np.empty(block), np.empty(block, bool)) for _ in range(workers)]
+
+    def draw(gen, out: np.ndarray, lo: float, hi: float) -> None:
+        # gen.uniform(lo, hi) in place: numpy computes it as lo + (hi - lo) * u.
+        gen.random(out=out)
+        out *= hi - lo
+        out += lo
+
     def draw_run(chunk_rng, m: int, starts: range) -> int:
         """Accepted distances of the blocks at ``starts``, in block order,
         into ``buf`` from the run's first candidate slot; returns their count."""
         x_rng, y_rng = copy.deepcopy(chunk_rng), copy.deepcopy(chunk_rng)
         x_rng.bit_generator.advance(starts[0])
         y_rng.bit_generator.advance(m + starts[0])
+        scratch_set = scratch.pop()
         n = starts[0]
         for start in starts:
             size = min(block, m - start)
-            x = x_rng.uniform(x_lo, x_hi, size)
+            slot = buf[n:n + size]  # where every candidate is accepted
             if highway:
-                np.abs(x, out=buf[n:n + size])
-                n += size
-                continue
-            y = y_rng.uniform(y_lo, y_hi, size)
-            keep = contains_mask(kind, x, y)
-            np.multiply(x, x, out=x)
-            np.multiply(y, y, out=y)
-            np.add(x, y, out=x)
-            slot = buf[n:n + int(np.count_nonzero(keep))]
-            np.compress(keep, x, out=slot)
-            np.sqrt(slot, out=slot)
+                draw(x_rng, slot, x_lo, x_hi)
+                np.abs(slot, out=slot)
+            else:
+                x, y, keep = (a[:size] for a in scratch_set)
+                draw(x_rng, x, x_lo, x_hi)
+                draw(y_rng, y, y_lo, y_hi)
+                if kind is LayoutKind.HEXAGONAL:
+                    keep = contains_mask(kind, x, y)
+                x *= x
+                y *= y
+                if kind is LayoutKind.SQUARE:  # the square fills its box
+                    np.add(x, y, out=slot)
+                else:
+                    x += y
+                    if kind is LayoutKind.CIRCLE:
+                        np.less_equal(x, 1.0, out=keep)  # contains_mask's own test
+                    slot = buf[n:n + int(np.count_nonzero(keep))]
+                    np.compress(keep, x, out=slot)
+                np.sqrt(slot, out=slot)
             n += slot.size
+        scratch.append(scratch_set)
         return n - starts[0]
 
     count, mean, m2 = 0, 0.0, 0.0

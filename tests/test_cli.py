@@ -586,6 +586,14 @@ def test_validate_refuses_samples_below_minimum(samples):
     assert "Traceback" not in result.output
 
 
+def test_validate_refuses_a_negative_seed():
+    """numpy's own refusal, `expected non-negative integer`, named no option."""
+    result = invoke("validate", "--seed", "-1", "--samples", "1000")
+    assert result.exit_code == 2
+    assert result.stderr == "error: --seed must be >= 0, got -1\n"
+    assert result.stdout == ""
+
+
 def test_validate_names_monte_carlo_check_when_alpha_is_corrupted(monkeypatch):
     """Negative control: a corrupted alpha constant fails the MC check."""
     real = LayoutKind.alpha.fget

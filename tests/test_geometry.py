@@ -231,6 +231,61 @@ def test_hexagon_mask_is_bit_identical_to_three_edge_pairs():
 # -- Monte Carlo --------------------------------------------------------------
 
 
+def scale_in_place(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Doubles of ``rng.random`` made uniform on [lo, hi) as the estimator
+    makes its draws: multiplied by hi - lo, then shifted by lo, in place."""
+    u *= hi - lo
+    u += lo
+    return u
+
+
+# The premises of the estimator's draw path. The bit-identity tests below
+# compare it with oracles; these name the assumption that broke, if one does.
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+@pytest.mark.parametrize("seed", [0, 58121])
+def test_random_scaled_in_place_is_bit_identical_to_uniform(kind, seed):
+    """numpy's uniform computes lo + (hi - lo) * u from the doubles random
+    gives. A build that fused the multiply and the add would round
+    differently, and every estimate and `validate` report would change."""
+    for lo, hi in _BOUNDING_BOX[kind]:
+        expected = np.random.default_rng(seed).uniform(lo, hi, 2**20)
+        drawn = scale_in_place(np.random.default_rng(seed).random(2**20), lo, hi)
+        assert drawn.tobytes() == expected.tobytes(), (lo, hi)
+
+
+def test_square_box_accepts_every_draw():
+    """The estimator skips the square's mask. Every draw from its bounding
+    box, the extremes of u in [0, 1) included, lies in the cell."""
+    (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[LayoutKind.SQUARE]
+    u = np.array([0.0, 2.0**-53, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                  1.0 - 2.0**-53])
+    x, y = np.meshgrid(scale_in_place(u.copy(), x_lo, x_hi), scale_in_place(u, y_lo, y_hi))
+    assert contains_mask(LayoutKind.SQUARE, x, y).all()
+    rng = np.random.default_rng(12)
+    x = scale_in_place(rng.random(2**20), x_lo, x_hi)
+    y = scale_in_place(rng.random(2**20), y_lo, y_hi)
+    assert contains_mask(LayoutKind.SQUARE, x, y).all()
+
+
+def test_circle_d2_test_accepts_what_contains_mask_accepts():
+    """The estimator masks the circle with d2 <= 1.0 on the x*x + y*y it
+    forms for the distances, the expression contains_mask evaluates. Random
+    draws and points on the unit circle, where d2 rounds either way."""
+    rng = np.random.default_rng(13)
+    (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[LayoutKind.CIRCLE]
+    t = rng.uniform(0.0, 2.0 * math.pi, 20_000)
+    x = np.concatenate([scale_in_place(rng.random(2**20), x_lo, x_hi), np.cos(t)])
+    y = np.concatenate([scale_in_place(rng.random(2**20), y_lo, y_hi), np.sin(t)])
+    expected = contains_mask(LayoutKind.CIRCLE, x, y)
+    d2 = x * x
+    d2 += y * y
+    assert np.array_equal(d2 <= 1.0, expected)
+    # The points on the circle really straddle it.
+    assert 0 < np.count_nonzero(expected[-t.size:]) < t.size
+
+
 def full_array_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, float]:
     """The estimator as it was before it streamed: every accepted distance in
     one array, then numpy's mean and std. Same draws and acceptance rule."""
@@ -362,6 +417,23 @@ def test_monte_carlo_is_bit_identical_for_any_worker_count(force_cpus, kind, n_s
         results[cpus] = estimate_alpha_monte_carlo(kind, n_samples, 58121)
         assert sizes == [workers]
     assert results[1] == results[2] == results[3] == results[64]
+
+
+@pytest.mark.parametrize("kind", [k for k in LayoutKind if k is not LayoutKind.HIGHWAY])
+def test_monte_carlo_with_more_workers_than_cpus_under_fast_thread_switching(force_cpus, kind):
+    """Stress: eight workers, switching threads every microsecond, share the
+    list of scratch sets (the highway draws straight into the chunk buffer).
+    One set drawn into by two workers at once would mix their draws, and the
+    estimate would leave the oracle's."""
+    sizes = force_cpus(64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = estimate_alpha_monte_carlo(kind, 2 * _MC_CHUNK + 17, 7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [8]
+    assert result == chunked_oracle(kind, 2 * _MC_CHUNK + 17, 7)
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 4])
