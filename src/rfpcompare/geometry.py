@@ -102,13 +102,27 @@ def contains_mask(kind: LayoutKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         half = 1.0 / _SQRT2
         return (np.abs(x) <= half) & (np.abs(y) <= half)
     if kind is LayoutKind.HEXAGONAL:
-        # Flat-topped hexagon, vertex at (1, 0): three pairs of parallel edges,
-        # |y| <= sqrt(3)/2 and |sqrt(3) x +- y| <= sqrt(3). Rounding is odd-
-        # symmetric and monotone, so the larger of the two slanted sums rounds
-        # to exactly sqrt(3)|x| + |y|: one test covers both slanted pairs.
-        ay = np.abs(y)
-        return (ay <= _SQRT3 / 2.0) & (_SQRT3 * np.abs(x) + ay <= _SQRT3)
+        x, y = (a.copy() for a in np.broadcast_arrays(x, y))  # rows the test may overwrite
+        flag, out = np.empty(x.shape, bool), np.empty(x.shape, bool)
+        return _hexagon_mask(x, y, np.empty_like(x), flag, out)
     return x * x + y * y <= 1.0  # circle
+
+
+def _hexagon_mask(x: np.ndarray, y: np.ndarray, t: np.ndarray, flag: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """contains_mask's hexagon test into ``out`` on scratch ``t`` and ``flag``;
+    leaves |x| and |y| in ``x`` and ``y``. Flat-topped, vertex at (1, 0): three
+    edge pairs, |y| <= sqrt(3)/2 and |sqrt(3) x +- y| <= sqrt(3). Rounding is
+    odd-symmetric and monotone, so the larger slanted sum rounds to exactly
+    sqrt(3)|x| + |y|: one test covers both slanted pairs."""
+    import numpy as np
+    np.abs(x, out=x)
+    np.abs(y, out=y)
+    np.multiply(x, _SQRT3, out=t)
+    t += y
+    np.less_equal(t, _SQRT3, out=out)
+    np.less_equal(y, _SQRT3 / 2.0, out=flag)
+    return np.logical_and(out, flag, out=out)
 
 
 def cell_contains(kind: LayoutKind, point: tuple[float, float]) -> bool:
@@ -126,12 +140,11 @@ _BOUNDING_BOX = {
 }
 
 _MC_CHUNK = 1 << 20  # candidate points drawn per rejection round
-_MC_BLOCK = 1 << 16  # candidates in flight over all workers, so they stay in cache
-# Smallest block a worker draws, which caps the workers at 8. A block's numpy
-# calls cost ~10-13 us of interpreter time under the GIL: on one worker, 2**13-
-# candidate blocks take up to 14% longer than 2**16 ones, 2**8 ones 3.9-5
-# times as long, so smaller blocks would leave more workers queueing on the GIL.
-_MC_MIN_BLOCK = 1 << 13
+# Candidates per block, whatever the worker count, so the bits do not depend on
+# it; a worker's rows (0.81 MiB) stay in cache. A block holds the GIL for 25-55 us
+# of its 0.3-0.75 ms (one worker), so more than 8 workers would mostly queue on it.
+_MC_BLOCK = 1 << 15
+_MC_MAX_WORKERS = 8
 
 
 def _usable_cpus() -> int:
@@ -153,22 +166,17 @@ def estimate_alpha_monte_carlo(
     fixed seed reproduces the estimate bit-for-bit on a given platform, for
     any number of CPUs and any BLAS thread count.
 
-    Points are drawn and reduced one chunk of at most ``_MC_CHUNK`` candidates
-    at a time, so memory does not grow with ``n_samples``. A chunk's m x draws
-    precede its m y draws in the stream (the highway draws x only). The chunk
-    is cut into blocks, and a thread pool with one worker per usable CPU (at
-    most ``_MC_BLOCK // _MC_MIN_BLOCK``) draws them, ``_MC_BLOCK`` candidates
-    in flight over all workers. Each worker takes a contiguous run of blocks,
-    draws it into x and y rows it reuses from copies of the generator
-    advanced to the run's x and y offsets, and packs the accepted distances,
-    in block order, into one chunk buffer from the run's first candidate
-    slot; the highway and the square accept every candidate and skip the
-    mask. The runs then slide down in order, so the buffer holds the same
-    values whatever the worker count. Each chunk's count, mean and centred
-    sum of squares are merged into running totals with the pairwise update
-    of Chan, Golub & LeVeque (1979).
+    A chunk of m <= ``_MC_CHUNK`` candidates takes m x draws, then m y draws
+    (the highway draws x only). Each of at most ``_MC_MAX_WORKERS`` threads
+    takes a run of ``_MC_BLOCK``-candidate blocks, draws them into rows it
+    reuses from generator copies advanced to the run's offsets, and returns
+    each block's count, mean and centred sum of squares of the accepted
+    distances. The calling thread merges them in block order (Chan, Golub &
+    LeVeque, 1979), so nothing is held at chunk size. It draws again the one
+    block that crosses ``n_samples`` and takes only the points still owed.
     """
     from concurrent.futures import ThreadPoolExecutor
+    from itertools import chain
 
     import numpy as np
     kind = LayoutKind(kind)
@@ -177,84 +185,75 @@ def estimate_alpha_monte_carlo(
     highway = kind is LayoutKind.HIGHWAY
     (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
     rng = np.random.default_rng(seed)
-    workers = min(_usable_cpus(), _MC_BLOCK // _MC_MIN_BLOCK)
-    block = _MC_BLOCK // workers
-    buf = np.empty(_chunk_candidates(highway, n_samples))
+    workers = min(_usable_cpus(), _MC_MAX_WORKERS)
 
-    # Per-worker scratch, taken for a run and put back: a block's x, y and mask.
-    scratch = [(np.empty(block), np.empty(block), np.empty(block, bool)) for _ in range(workers)]
+    # Per-thread scratch, taken for a run and put back: x, y, mask, hexagon rows.
+    scratch = [tuple(np.empty(_MC_BLOCK, t) for t in (float, float, bool, float, bool))
+               for _ in range(workers)]
 
-    def draw(gen, out: np.ndarray, lo: float, hi: float) -> None:
+    def draw(gen, out: np.ndarray, lo: float, hi: float) -> np.ndarray:
         # gen.uniform(lo, hi) in place: numpy computes it as lo + (hi - lo) * u.
-        gen.random(out=out)
-        out *= hi - lo
-        out += lo
+        return np.add(np.multiply(gen.random(out=out), hi - lo, out=out), lo, out=out)
 
-    def draw_run(chunk_rng, m: int, starts: range) -> int:
-        """Accepted distances of the blocks at ``starts``, in block order,
-        into ``buf`` from the run's first candidate slot; returns their count."""
+    def draw_run(chunk_rng, m: int, starts, limit: int | None = None) -> list:
+        """(count, mean, centred sum of squares) of each block's accepted
+        distances, in block order; of only the first ``limit`` if given."""
         x_rng, y_rng = copy.deepcopy(chunk_rng), copy.deepcopy(chunk_rng)
         x_rng.bit_generator.advance(starts[0])
         y_rng.bit_generator.advance(m + starts[0])
         scratch_set = scratch.pop()
-        n = starts[0]
+        moments = []
         for start in starts:
-            size = min(block, m - start)
-            slot = buf[n:n + size]  # where every candidate is accepted
+            x, y, keep, t, flag = (a[:min(_MC_BLOCK, m - start)] for a in scratch_set)
+            d = draw(x_rng, x, x_lo, x_hi)
             if highway:
-                draw(x_rng, slot, x_lo, x_hi)
-                np.abs(slot, out=slot)
+                np.abs(x, out=x)
             else:
-                x, y, keep = (a[:size] for a in scratch_set)
-                draw(x_rng, x, x_lo, x_hi)
                 draw(y_rng, y, y_lo, y_hi)
                 if kind is LayoutKind.HEXAGONAL:
-                    keep = contains_mask(kind, x, y)
+                    _hexagon_mask(x, y, t, flag, keep)
                 x *= x
                 y *= y
-                if kind is LayoutKind.SQUARE:  # the square fills its box
-                    np.add(x, y, out=slot)
-                else:
-                    x += y
-                    if kind is LayoutKind.CIRCLE:
-                        np.less_equal(x, 1.0, out=keep)  # contains_mask's own test
-                    slot = buf[n:n + int(np.count_nonzero(keep))]
-                    np.compress(keep, x, out=slot)
-                np.sqrt(slot, out=slot)
-            n += slot.size
+                x += y
+                if kind is LayoutKind.CIRCLE:
+                    np.less_equal(x, 1.0, out=keep)  # contains_mask's own test
+                if kind is not LayoutKind.SQUARE:  # the square fills its box
+                    # By halves: take's index stays <= 128 KiB (np.compress also buffers out).
+                    n = 0
+                    for part in (slice(None, _MC_BLOCK // 2), slice(_MC_BLOCK // 2, None)):
+                        k = int(np.count_nonzero(keep[part]))
+                        np.take(x[part], np.flatnonzero(keep[part]), out=y[n:n + k], mode="clip")
+                        n += k
+                    d = y[:n]
+                np.sqrt(d, out=d)
+            d = d[:limit]
+            mean = float(d.mean()) if d.size else 0.0  # an empty block merges as a no-op
+            d -= mean
+            # einsum's own loop, not BLAS: np.dot's bits vary with the BLAS thread count.
+            moments.append((d.size, mean, float(np.einsum("i,i->", d, d))))
         scratch.append(scratch_set)
-        return n - starts[0]
+        return moments
 
     count, mean, m2 = 0, 0.0, 0.0
     with ThreadPoolExecutor(workers) as pool:
         while count < n_samples:
+            # The highway accepts every candidate; the others draw 2x what is owed, >= 4096.
             remaining = n_samples - count
-            m = _chunk_candidates(highway, remaining)
-            starts = range(0, m, block)
+            m = min(_MC_CHUNK, remaining if highway else max(2 * remaining, 4096))
+            starts = range(0, m, _MC_BLOCK)
             per_run = -(-len(starts) // workers)
             runs = [starts[i:i + per_run] for i in range(0, len(starts), per_run)]
-            n = 0  # the runs' accepted distances slide down to one prefix of buf
-            for run, accepted in zip(runs, pool.map(partial(draw_run, rng, m), runs)):
-                if n != run[0]:
-                    buf[n:n + accepted] = buf[run[0]:run[0] + accepted]
-                n += accepted
+            blocks = chain.from_iterable(pool.map(partial(draw_run, rng, m), runs))
+            for start, (n, block_mean, block_m2) in zip(starts, blocks):
+                if count + n > n_samples:  # the block that crosses n_samples, drawn again
+                    [(n, block_mean, block_m2)] = draw_run(rng, m, [start], n_samples - count)
+                total = count + n
+                delta = block_mean - mean
+                mean += delta * n / total
+                m2 += block_m2 + delta * delta * count * n / total
+                count = total
+                if count == n_samples:
+                    break
             rng.bit_generator.advance(m if highway else 2 * m)
-            d = buf[:min(n, remaining)]
-            n_chunk = d.size
-            mean_chunk = float(d.mean())
-            d -= mean_chunk
-            total = count + n_chunk
-            delta = mean_chunk - mean
-            mean += delta * n_chunk / total
-            # einsum's own loop, not BLAS: np.dot's bits vary with the BLAS thread count.
-            m2 += float(np.einsum("i,i->", d, d)) + delta * delta * count * n_chunk / total
-            count = total
 
     return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
-
-
-def _chunk_candidates(highway: bool, remaining: int) -> int:
-    """Candidates drawn in a chunk when ``remaining`` samples are still owed:
-    the highway accepts every one, the other cells draw twice as many, and at
-    least 4096."""
-    return min(_MC_CHUNK, remaining if highway else max(2 * remaining, 4096))

@@ -17,7 +17,7 @@ from rfpcompare import (
     cell_contains,
     estimate_alpha_monte_carlo,
 )
-from rfpcompare.geometry import _BOUNDING_BOX, _MC_CHUNK, contains_mask
+from rfpcompare.geometry import _BOUNDING_BOX, _MC_BLOCK, _MC_CHUNK, _hexagon_mask, contains_mask
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -200,14 +200,10 @@ def half_plane_hexagon(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def test_hexagon_mask_is_bit_identical_to_three_edge_pairs():
-    """The folded slanted-edge test accepts exactly the same points, random
-    ones and ones within a few ulps of every edge and vertex."""
-    rng = np.random.default_rng(2718)
-    x = rng.uniform(-1.2, 1.2, 2_000_000)
-    y = rng.uniform(-1.2, 1.2, 2_000_000)
-    # Points on the slanted edges (x from y) and on the flat ones (y = +-sqrt(3)/2),
-    # then every vertex, all nudged by -4..4 ulps in each coordinate.
+def hexagon_boundary_points(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Points on the slanted edges (x from y) and on the flat ones
+    (y = +-sqrt(3)/2), then every vertex, all nudged by -4..4 ulps in each
+    coordinate."""
     t = rng.uniform(-SQRT3 / 2.0, SQRT3 / 2.0, 20_000)
     edge_x = (SQRT3 - np.abs(t)) / SQRT3
     flat_x = rng.uniform(-0.5, 0.5, 20_000)
@@ -219,8 +215,18 @@ def test_hexagon_mask_is_bit_identical_to_three_edge_pairs():
     near_x = bx[:, None, None] + nudge[:, None] * np.spacing(bx)[:, None, None]
     near_y = by[:, None, None] + nudge * np.spacing(by)[:, None, None]
     near_x, near_y = np.broadcast_arrays(near_x, near_y)
-    x = np.concatenate([x, near_x.ravel()])
-    y = np.concatenate([y, near_y.ravel()])
+    return near_x.ravel(), near_y.ravel()
+
+
+def test_hexagon_mask_is_bit_identical_to_three_edge_pairs():
+    """The folded slanted-edge test accepts exactly the same points, random
+    ones and ones within a few ulps of every edge and vertex."""
+    rng = np.random.default_rng(2718)
+    x = rng.uniform(-1.2, 1.2, 2_000_000)
+    y = rng.uniform(-1.2, 1.2, 2_000_000)
+    near_x, near_y = hexagon_boundary_points(rng)
+    x = np.concatenate([x, near_x])
+    y = np.concatenate([y, near_y])
     mask = contains_mask(LayoutKind.HEXAGONAL, x, y)
     expected = half_plane_hexagon(x, y)
     assert np.array_equal(mask, expected)
@@ -286,6 +292,35 @@ def test_circle_d2_test_accepts_what_contains_mask_accepts():
     assert 0 < np.count_nonzero(expected[-t.size:]) < t.size
 
 
+def test_hexagon_helper_on_scratch_is_bit_identical_to_contains_mask():
+    """The estimator runs the hexagon test in its per-worker scratch, one
+    block at a time: rows reused for every block, left dirty by the last one.
+    It accepts what contains_mask accepts, on scaled draws, on points within a
+    few ulps of every edge and vertex, and on signed zeros, and leaves |x| and
+    |y| in the x and y rows."""
+    rng = np.random.default_rng(14)
+    (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[LayoutKind.HEXAGONAL]
+    near_x, near_y = hexagon_boundary_points(rng)
+    zero_x = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 0.0, -0.0])
+    zero_y = np.array([0.0, 0.0, -0.0, -0.0, -0.0, -0.0, SQRT3 / 2, SQRT3 / 2, -SQRT3 / 2, -SQRT3 / 2])
+    x = np.concatenate([scale_in_place(rng.random(2**20), x_lo, x_hi), near_x, zero_x])
+    y = np.concatenate([scale_in_place(rng.random(2**20), y_lo, y_hi), near_y, zero_y])
+    expected = contains_mask(LayoutKind.HEXAGONAL, x, y)
+    rows = (np.full(_MC_BLOCK, np.nan), np.full(_MC_BLOCK, np.nan), np.ones(_MC_BLOCK, bool),
+            np.full(_MC_BLOCK, np.nan), np.ones(_MC_BLOCK, bool))
+    for start in range(0, x.size, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, x.size)
+        bx, by, keep, t, flag = (row[:stop - start] for row in rows)
+        bx[:] = x[start:stop]
+        by[:] = y[start:stop]
+        assert _hexagon_mask(bx, by, t, flag, keep) is keep
+        assert keep.tobytes() == expected[start:stop].tobytes(), start
+        assert bx.tobytes() == np.abs(x[start:stop]).tobytes()
+        assert by.tobytes() == np.abs(y[start:stop]).tobytes()
+    # The points near the boundary really straddle it.
+    assert 0 < np.count_nonzero(expected[2**20:]) < expected.size - 2**20
+
+
 def full_array_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, float]:
     """The estimator as it was before it streamed: every accepted distance in
     one array, then numpy's mean and std. Same draws and acceptance rule."""
@@ -341,6 +376,43 @@ def chunked_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, 
     return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
 
 
+def block_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, float]:
+    """The estimator's reduction order on chunked_oracle's draws: each chunk's
+    x and y drawn as whole arrays, masked, squared and compressed at once,
+    then the count, mean and centred sum of squares of each _MC_BLOCK-candidate
+    block (only the points still owed, in the block that crosses n_samples)
+    merged in block order. An empty block changes nothing."""
+    rng = np.random.default_rng(seed)
+    if kind is not LayoutKind.HIGHWAY:
+        (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < n_samples:
+        remaining = n_samples - count
+        if kind is LayoutKind.HIGHWAY:
+            d = rng.uniform(-1.0, 1.0, min(_MC_CHUNK, remaining))
+            np.abs(d, out=d)
+            keep = np.ones(d.size, bool)
+        else:
+            m = min(_MC_CHUNK, max(2 * remaining, 4096))
+            x = rng.uniform(x_lo, x_hi, m)
+            y = rng.uniform(y_lo, y_hi, m)
+            keep = contains_mask(kind, x, y)
+            np.multiply(x, x, out=x)
+            np.multiply(y, y, out=y)
+            d = np.sqrt(np.add(x, y, out=x), out=x)
+        for start in range(0, d.size, _MC_BLOCK):
+            block = d[start:start + _MC_BLOCK][keep[start:start + _MC_BLOCK]][:n_samples - count]
+            n = block.size
+            block_mean = float(block.mean()) if n else 0.0
+            block -= block_mean
+            total = count + n
+            delta = block_mean - mean
+            mean += delta * n / total
+            m2 += float(np.einsum("i,i->", block, block)) + delta * delta * count * n / total
+            count = total
+    return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+
+
 MC_SIZES = [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17]
 
 
@@ -349,9 +421,12 @@ MC_SIZES = [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17]
 @pytest.mark.parametrize("seed", [0, 58121])
 def test_monte_carlo_blocks_are_bit_identical_to_whole_chunks(kind, n_samples, seed):
     """Drawing each chunk in blocks, with y from an advanced copy of the
-    stream, keeps every draw and every bit of the estimate."""
+    stream, keeps every draw, so the estimate has every bit of the oracle
+    that reduces whole-chunk draws block by block. Reducing per block instead
+    of per chunk moves only the last bits."""
     result = estimate_alpha_monte_carlo(kind, n_samples, seed)
-    assert result == chunked_oracle(kind, n_samples, seed)
+    assert result == block_oracle(kind, n_samples, seed)
+    assert result == pytest.approx(chunked_oracle(kind, n_samples, seed), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("kind", list(LayoutKind))
@@ -422,9 +497,10 @@ def test_monte_carlo_is_bit_identical_for_any_worker_count(force_cpus, kind, n_s
 @pytest.mark.parametrize("kind", [k for k in LayoutKind if k is not LayoutKind.HIGHWAY])
 def test_monte_carlo_with_more_workers_than_cpus_under_fast_thread_switching(force_cpus, kind):
     """Stress: eight workers, switching threads every microsecond, share the
-    list of scratch sets (the highway draws straight into the chunk buffer).
-    One set drawn into by two workers at once would mix their draws, and the
-    estimate would leave the oracle's."""
+    list of scratch sets with the calling thread, which redraws the block
+    that crosses n_samples (the highway never has one). One set drawn into
+    by two threads at once would mix their draws, and the estimate would
+    leave the oracle's."""
     sizes = force_cpus(64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -433,7 +509,7 @@ def test_monte_carlo_with_more_workers_than_cpus_under_fast_thread_switching(for
     finally:
         sys.setswitchinterval(interval)
     assert sizes == [8]
-    assert result == chunked_oracle(kind, 2 * _MC_CHUNK + 17, 7)
+    assert result == block_oracle(kind, 2 * _MC_CHUNK + 17, 7)
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 4])
@@ -445,6 +521,23 @@ def test_monte_carlo_peak_holds_for_any_worker_count(force_cpus, kind, cpus):
     test_monte_carlo_peak_is_one_chunk_buffer_plus_blocks(kind)
     test_monte_carlo_frees_each_chunk_before_the_next(kind)
     assert sizes == [cpus, cpus]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+@pytest.mark.parametrize("kind", list(LayoutKind))
+def test_monte_carlo_peak_is_below_one_chunk_buffer(force_cpus, kind, cpus):
+    """Nothing is held at chunk size: 4e6 samples on one, two, three or eight
+    workers (the cap) peak below one chunk of doubles (8 MiB), the buffer
+    the distances were once packed into. Each worker's scratch is 0.81 MiB."""
+    sizes = force_cpus(cpus)
+    tracemalloc.start()
+    try:
+        estimate_alpha_monte_carlo(kind, 4_000_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == [min(cpus, 8)]
+    assert peak < _MC_CHUNK * 8, f"{peak / 2**20:.1f} MiB"
 
 
 # Prints every kind's estimate at 3 chunks and a short fourth, in a child whose
