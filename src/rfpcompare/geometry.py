@@ -14,11 +14,9 @@ centered on the site. Conventions, fixed once so every module agrees:
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from enum import Enum
-from functools import partial
 
 from .errors import NoTessellationError
 
@@ -167,13 +165,15 @@ def estimate_alpha_monte_carlo(
     any number of CPUs and any BLAS thread count.
 
     A chunk of m <= ``_MC_CHUNK`` candidates takes m x draws, then m y draws
-    (the highway draws x only). Each of at most ``_MC_MAX_WORKERS`` threads
-    takes a run of ``_MC_BLOCK``-candidate blocks, draws them into rows it
-    reuses from generator copies advanced to the run's offsets, and returns
-    each block's count, mean and centred sum of squares of the accepted
-    distances. The calling thread merges them in block order (Chan, Golub &
-    LeVeque, 1979), so nothing is held at chunk size. It draws again the one
-    block that crosses ``n_samples`` and takes only the points still owed.
+    (the highway draws x only). At most ``_MC_MAX_WORKERS`` threads take its
+    ``_MC_BLOCK``-candidate blocks one by one from a shared iterator, draw
+    each into rows they reuse from generators of their own advanced to its
+    offsets, and return its count, mean and centred sum of squares of the
+    accepted distances. The calling thread merges them in block order (Chan,
+    Golub & LeVeque, 1979), so nothing is held at chunk size, while the
+    workers go on to the next chunk if its size is already sure. It draws
+    again the one block that crosses ``n_samples`` (no chunk is queued behind
+    it) and takes only the points still owed.
     """
     from concurrent.futures import ThreadPoolExecutor
     from itertools import chain
@@ -187,24 +187,31 @@ def estimate_alpha_monte_carlo(
     rng = np.random.default_rng(seed)
     workers = min(_usable_cpus(), _MC_MAX_WORKERS)
 
-    # Per-thread scratch, taken for a run and put back: x, y, mask, hexagon rows.
-    scratch = [tuple(np.empty(_MC_BLOCK, t) for t in (float, float, bool, float, bool))
+    # Per-thread scratch, taken while a thread draws and put back: x and y
+    # generators (set to each chunk's state), then x, y, mask and hexagon rows.
+    scratch = [(np.random.Generator(np.random.PCG64()), np.random.Generator(np.random.PCG64()),
+                *(np.empty(_MC_BLOCK, t) for t in (float, float, bool, float, bool)))
                for _ in range(workers)]
 
     def draw(gen, out: np.ndarray, lo: float, hi: float) -> np.ndarray:
         # gen.uniform(lo, hi) in place: numpy computes it as lo + (hi - lo) * u.
         return np.add(np.multiply(gen.random(out=out), hi - lo, out=out), lo, out=out)
 
-    def draw_run(chunk_rng, m: int, starts, limit: int | None = None) -> list:
-        """(count, mean, centred sum of squares) of each block's accepted
-        distances, in block order; of only the first ``limit`` if given."""
-        x_rng, y_rng = copy.deepcopy(chunk_rng), copy.deepcopy(chunk_rng)
-        x_rng.bit_generator.advance(starts[0])
-        y_rng.bit_generator.advance(m + starts[0])
-        scratch_set = scratch.pop()
+    def draw_blocks(state: dict, m: int, starts, limit: int | None = None) -> list:
+        """(start, (count, mean, centred sum of squares)) of the accepted
+        distances of each block whose start it takes from ``starts``, an
+        iterator the workers share; of only the first ``limit`` if given."""
+        x_rng, y_rng, *rows = scratch_set = scratch.pop()
+        x_rng.bit_generator.state = y_rng.bit_generator.state = state
+        y_rng.bit_generator.advance(m)
+        at = 0  # where both generators stand, in candidates from the chunk's start
         moments = []
         for start in starts:
-            x, y, keep, t, flag = (a[:min(_MC_BLOCK, m - start)] for a in scratch_set)
+            if start != at:  # another thread took the blocks in between
+                x_rng.bit_generator.advance(start - at)
+                y_rng.bit_generator.advance(start - at)
+            at = start + _MC_BLOCK  # a short last block is followed by none
+            x, y, keep, t, flag = (a[:min(_MC_BLOCK, m - start)] for a in rows)
             d = draw(x_rng, x, x_lo, x_hi)
             if highway:
                 np.abs(x, out=x)
@@ -230,23 +237,37 @@ def estimate_alpha_monte_carlo(
             mean = float(d.mean()) if d.size else 0.0  # an empty block merges as a no-op
             d -= mean
             # einsum's own loop, not BLAS: np.dot's bits vary with the BLAS thread count.
-            moments.append((d.size, mean, float(np.einsum("i,i->", d, d))))
+            moments.append((start, (d.size, mean, float(np.einsum("i,i->", d, d)))))
         scratch.append(scratch_set)
         return moments
 
+    def chunk_size(owed: int) -> int:
+        # The highway accepts every candidate; the others draw 2x what is owed, >= 4096.
+        return min(_MC_CHUNK, owed if highway else max(2 * owed, 4096))
+
+    def submit(m: int) -> tuple:
+        """Start the workers on the next chunk, of m candidates. Each takes the next
+        block when it is free, so a thread the OS holds back holds up one block."""
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(m if highway else 2 * m)
+        shared = iter(range(0, m, _MC_BLOCK))
+        return state, m, [pool.submit(draw_blocks, state, m, shared) for _ in range(workers)]
+
     count, mean, m2 = 0, 0.0, 0.0
     with ThreadPoolExecutor(workers) as pool:
+        ahead = None
         while count < n_samples:
-            # The highway accepts every candidate; the others draw 2x what is owed, >= 4096.
-            remaining = n_samples - count
-            m = min(_MC_CHUNK, remaining if highway else max(2 * remaining, 4096))
-            starts = range(0, m, _MC_BLOCK)
-            per_run = -(-len(starts) // workers)
-            runs = [starts[i:i + per_run] for i in range(0, len(starts), per_run)]
-            blocks = chain.from_iterable(pool.map(partial(draw_run, rng, m), runs))
-            for start, (n, block_mean, block_m2) in zip(starts, blocks):
+            state, m, runs = ahead or submit(chunk_size(n_samples - count))
+            # Queue the next chunk now, so no worker waits for the merge, if its size is
+            # sure: samples are owed even if all m are accepted, and the highway accepts
+            # all or at least half a chunk is owed.
+            owed = n_samples - count - m
+            ahead = submit(chunk_size(owed)) if owed > 0 and (highway or 2 * owed >= _MC_CHUNK) else None
+            blocks = dict(chain.from_iterable(run.result() for run in runs))
+            for start in range(0, m, _MC_BLOCK):
+                n, block_mean, block_m2 = blocks[start]
                 if count + n > n_samples:  # the block that crosses n_samples, drawn again
-                    [(n, block_mean, block_m2)] = draw_run(rng, m, [start], n_samples - count)
+                    [(_, (n, block_mean, block_m2))] = draw_blocks(state, m, [start], n_samples - count)
                 total = count + n
                 delta = block_mean - mean
                 mean += delta * n / total
@@ -254,6 +275,5 @@ def estimate_alpha_monte_carlo(
                 count = total
                 if count == n_samples:
                     break
-            rng.bit_generator.advance(m if highway else 2 * m)
 
     return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)

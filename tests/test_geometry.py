@@ -413,7 +413,10 @@ def block_oracle(kind: LayoutKind, n_samples: int, seed: int) -> tuple[float, fl
     return mean, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
 
 
-MC_SIZES = [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17]
+# 1.5 chunks + 5 leave a little over half a chunk owed after the first chunk even
+# if all its candidates are accepted, so the next chunk is queued ahead: whole for
+# the cells that reject, exactly what is owed for the highway.
+MC_SIZES = [1000, 4096, _MC_CHUNK, _MC_CHUNK + 1, _MC_CHUNK + _MC_CHUNK // 2 + 5, 3 * _MC_CHUNK + 17]
 
 
 @pytest.mark.parametrize("kind", list(LayoutKind))
