@@ -4,21 +4,29 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
 from rfpcompare import (
     BetaOutOfRangeError,
     Deployment,
+    DeploymentPair,
     LayoutKind,
+    Metric,
     NeighborMode,
+    NoTessellationError,
     PlausibilityWarning,
+    RfpError,
     Scenario,
     ScenarioSchemaError,
     ScenarioSyntaxError,
     ScenarioValidationError,
     builtin_scenario,
+    UnsupportedParameterChangeError,
     builtin_scenario_ids,
+    closed_form_delta,
+    delta_emitted,
     parse_scenario_file,
     sweep_beta,
     validate_scenario,
@@ -349,3 +357,150 @@ def test_sweep_is_monotone_for_densifying_scenarios():
             )
             values = [v for _, v in series]
             assert all(a >= b for a, b in zip(values, values[1:])), (sid, mode)
+
+
+# -- range rules, entry point by entry point -----------------------------------------
+
+
+def document(deployment1=None, deployment2=None, **top) -> str:
+    """S1 as a scenario document, with deployment fields and top-level fields changed."""
+    doc = json.loads(S1_DOCUMENT)
+    doc["deployment1"].update(deployment1 or {})
+    doc["deployment2"].update(deployment2 or {})
+    return json.dumps({**doc, **top})
+
+
+def scenario(dep1=(500.0, 1.0, 3.0, 700.0), dep2=(250.0, 1.0, 3.0, 700.0), **settings):
+    return Scenario("X", "", Deployment(*dep1), Deployment(*dep2), **settings)
+
+
+def outcome(call):
+    """What ``call`` does: the exception it raises (class, field path, text), or
+    else the warnings it issues and the violations it returns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except (RfpError, ValueError) as exc:
+            return type(exc), getattr(exc, "path", None), str(exc)
+    found = [(v.code, v.severity, v.path, v.message) for v in result] if isinstance(
+        result, list) else []
+    return [(w.category, str(w.message)) for w in caught] + found
+
+
+S5 = builtin_scenario("S5")
+HEX, CIRCLE = LayoutKind.HEXAGONAL, LayoutKind.CIRCLE
+NONE, ADJACENT = NeighborMode.NONE, NeighborMode.ADJACENT
+GAMMA_9 = "gamma=9.0 is outside the plausible range [1.5, 6.5]"
+
+# (id, call, outcome): every range rule at every entry point that applies it.
+RANGE_CASES = [
+    # Deployment fields: > 0, eta >= 0, gamma plausible.
+    ("Deployment-d_max", lambda: Deployment(0.0, 1.0, 3.0, 700.0),
+     (ValueError, None, "d_max must be > 0, got 0.0")),
+    ("Deployment-p_r_th", lambda: Deployment(500.0, -1.0, 3.0, 700.0),
+     (ValueError, None, "p_r_th must be > 0, got -1.0")),
+    ("Deployment-gamma", lambda: Deployment(500.0, 1.0, 0.0, 700.0),
+     (ValueError, None, "gamma must be > 0, got 0.0")),
+    ("Deployment-f", lambda: Deployment(500.0, 1.0, 3.0, -700.0),
+     (ValueError, None, "f must be > 0, got -700.0")),
+    ("Deployment-c", lambda: Deployment(500.0, 1.0, 3.0, 700.0, c=0.0),
+     (ValueError, None, "c must be > 0, got 0.0")),
+    ("Deployment-eta", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=-0.5),
+     (ValueError, None, "eta must be >= 0, got -0.5")),
+    ("Deployment-eta-zero", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=0.0), []),
+    ("Deployment-gamma-plausibility", lambda: Deployment(500.0, 1.0, 9.0, 700.0),
+     [(PlausibilityWarning, GAMMA_9)]),
+    # Scenario: beta1 in (0, 1).
+    ("Scenario-beta1-high", lambda: scenario(beta1=1.5),
+     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.5")),
+    ("Scenario-beta1-zero", lambda: scenario(beta1=0.0),
+     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 0.0")),
+    # DeploymentPair: beta1 in (0, 1), beta2 <= 1, no circle in adjacent mode.
+    ("DeploymentPair-beta1", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 1.0, NONE),
+     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
+    ("DeploymentPair-beta2", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 0.2, NONE),
+     (BetaOutOfRangeError, None,
+      "beta2 = beta1 * d_max(1)/d_max(2) = 2 must be in (0, 1]")),
+    ("DeploymentPair-circle-adjacent",
+     lambda: DeploymentPair(S5.dep1, S5.dep2, CIRCLE, 0.05, ADJACENT),
+     (NoTessellationError, None, "adjacent-neighbor mode requires a tessellating layout")),
+    ("DeploymentPair-eta-change", lambda: DeploymentPair(
+        Deployment(500.0, 1.0, 3.0, 700.0), Deployment(250.0, 1.0, 3.0, 700.0, eta=2.5),
+        HEX), []),
+    # parse_scenario_file: deployment fields, beta1 and beta2, by field path.
+    ("parse-d_max", lambda: parse_scenario_file(document({"d_max_m": -5})),
+     (ScenarioValidationError, "deployment1.d_max_m",
+      "deployment1.d_max_m: must be > 0, got -5.0")),
+    ("parse-p_r_th", lambda: parse_scenario_file(document(None, {"p_r_th": 0})),
+     (ScenarioValidationError, "deployment2.p_r_th", "deployment2.p_r_th: must be > 0, got 0.0")),
+    ("parse-gamma", lambda: parse_scenario_file(document({"gamma": -3})),
+     (ScenarioValidationError, "deployment1.gamma", "deployment1.gamma: must be > 0, got -3.0")),
+    ("parse-f", lambda: parse_scenario_file(document(None, {"f_mhz": 0})),
+     (ScenarioValidationError, "deployment2.f_mhz", "deployment2.f_mhz: must be > 0, got 0.0")),
+    ("parse-c", lambda: parse_scenario_file(document({"c": 0})),
+     (ScenarioValidationError, "deployment1.c", "deployment1.c: must be > 0, got 0.0")),
+    ("parse-eta", lambda: parse_scenario_file(document(None, {"eta": -1})),
+     (ScenarioValidationError, "deployment2.eta", "deployment2.eta: must be >= 0, got -1.0")),
+    ("parse-beta1", lambda: parse_scenario_file(document(beta1=1)),
+     (ScenarioValidationError, "beta1", "beta1: must be in (0, 1), got 1.0")),
+    ("parse-beta2", lambda: parse_scenario_file(document(None, {"d_max_m": 50}, beta1=0.2)),
+     (ScenarioValidationError, "beta1",
+      "beta1: beta2 = beta1 * d_max(1)/d_max(2) = 2 exceeds 1; the fixed evaluation "
+      "point would fall outside deployment (2)'s cell")),
+    # The pair rules that validate_scenario reports are not parse errors.
+    ("parse-eta-change", lambda: parse_scenario_file(document(None, {"eta": 3})), []),
+    ("parse-circle-adjacent", lambda: parse_scenario_file(
+        document(layouts=["circle"], modes=["adjacent"])), []),
+    ("parse-gamma-plausibility", lambda: parse_scenario_file(document({"gamma": 9})),
+     [(PlausibilityWarning, GAMMA_9)]),
+    # validate_scenario: beta2, circle in adjacent mode, shared eta, gamma.
+    ("validate-beta2", lambda: validate_scenario(
+        scenario(dep2=(50.0, 1.0, 3.0, 700.0), beta1=0.2)),
+     [("beta_out_of_range", "error", "beta1", "beta2 = 2 exceeds 1 for beta1 = 0.2")]),
+    ("validate-circle-adjacent", lambda: validate_scenario(
+        scenario(layouts=(CIRCLE,), modes=(ADJACENT,))),
+     [("no_tessellation", "error", "layouts",
+       "the circle layout cannot be evaluated in adjacent-neighbor mode")]),
+    ("validate-eta-change", lambda: validate_scenario(
+        scenario(dep2=(250.0, 1.0, 3.0, 700.0, 3.0))),
+     [("unsupported_parameter_change", "error", "deployment2.eta",
+       "deployments must share eta, got 2.0 and 3.0")]),
+    ("validate-gamma-plausibility", lambda: validate_scenario(
+        scenario(dep2=(250.0, 1.0, 1.2, 700.0))),
+     [(PlausibilityWarning, "gamma=1.2 is outside the plausible range [1.5, 6.5]"),
+      ("gamma_plausibility", "warning", "deployment2.gamma",
+       "gamma = 1.2 is outside the plausible range [1.5, 6.5]")]),
+    ("validate-all-errors-in-order", lambda: validate_scenario(scenario(
+        dep2=(50.0, 1.0, 3.0, 700.0, 3.0), beta1=0.2, layouts=(CIRCLE,), modes=(ADJACENT,))),
+     [("beta_out_of_range", "error", "beta1", "beta2 = 2 exceeds 1 for beta1 = 0.2"),
+      ("no_tessellation", "error", "layouts",
+       "the circle layout cannot be evaluated in adjacent-neighbor mode"),
+      ("unsupported_parameter_change", "error", "deployment2.eta",
+       "deployments must share eta, got 2.0 and 3.0")]),
+    # sweep_beta: every grid point's beta1 below 1 and beta2 <= 1.
+    ("sweep-beta2", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.11, 0.01),
+     (BetaOutOfRangeError, None, "grid point beta1 = 0.11 gives beta2 = 1.1 > 1")),
+    ("sweep-beta1", lambda: sweep_beta(builtin_scenario("S4"), HEX, NONE, 0.9, 1.0, 0.1),
+     (BetaOutOfRangeError, None, "grid point beta1 = 1 must be below 1")),
+    # closed_form_delta: beta1 in (0, 1) for the fixed-distance ratio.
+    ("closed_form_delta-beta1",
+     lambda: closed_form_delta("S1", Metric.PR_FX, HEX, NONE, 1.0),
+     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
+    ("closed_form_delta-beta1-zero",
+     lambda: closed_form_delta("S1", Metric.PR_FX, HEX, NONE, 0.0),
+     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 0.0")),
+    # delta_emitted: shared eta.
+    ("delta_emitted-eta-change", lambda: delta_emitted(DeploymentPair(
+        Deployment(500.0, 1.0, 3.0, 700.0), Deployment(250.0, 1.0, 3.0, 700.0, eta=2.5),
+        HEX)),
+     (UnsupportedParameterChangeError, None, "deployments must share eta, got 2.0 and 2.5")),
+]
+
+
+@pytest.mark.parametrize("call,expected", [pytest.param(call, expected, id=case_id)
+                                           for case_id, call, expected in RANGE_CASES])
+def test_range_rule_outcome(call, expected):
+    """Exception class and text (with the field path for a scenario document),
+    or the warnings and violations, of each range rule at each entry point."""
+    assert outcome(call) == expected
