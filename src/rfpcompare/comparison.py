@@ -11,13 +11,9 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import record
-from .errors import (
-    BetaOutOfRangeError,
-    NoTessellationError,
-    UnsupportedParameterChangeError,
-)
 from .geometry import LayoutKind, TESSELLATING_KINDS
-from .propagation import Deployment, NeighborMode, _bracket, _power, in_deployment, neighbor_count
+from .propagation import (Deployment, NeighborMode, _bracket, _power, in_deployment,
+                          neighbor_count, range_violations, refuse)
 from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
 #: Relative tolerance for closed-form vs general-formula agreement.
@@ -42,17 +38,8 @@ class DeploymentPair:
     mode: NeighborMode = NeighborMode.NONE
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta1 < 1:
-            raise BetaOutOfRangeError(f"beta1 must be in (0, 1), got {self.beta1}")
-        if self.mode is NeighborMode.ADJACENT and not self.layout.tessellates:
-            raise NoTessellationError(
-                "adjacent-neighbor mode requires a tessellating layout"
-            )
-        beta2 = self.beta2
-        if not 0 < beta2 <= 1:
-            raise BetaOutOfRangeError(
-                f"beta2 = beta1 * d_max(1)/d_max(2) = {beta2:.6g} must be in (0, 1]"
-            )
+        refuse(range_violations(beta1=self.beta1, d_max=(self.dep1.d_max, self.dep2.d_max),
+                                layouts=(self.layout,), modes=(self.mode,)))
 
     @property
     def beta2(self) -> float:
@@ -90,10 +77,7 @@ def delta_emitted(pair: DeploymentPair) -> float:
     algebraically identical to emitted_power(dep1) / emitted_power(dep2).
     """
     d1, d2 = pair.dep1, pair.dep2
-    if d1.eta != d2.eta:
-        raise UnsupportedParameterChangeError(
-            f"deployments must share eta, got {d1.eta} and {d2.eta}"
-        )
+    refuse(range_violations(eta=(d1.eta, d2.eta)))
     return (
         _power(pair.delta_d_max, d1.gamma, "delta_emitted: (d_max(1)/d_max(2))**gamma1")
         * _power(d2.d_max, d1.gamma - d2.gamma, "delta_emitted: d_max(2)**(gamma1 - gamma2)")
@@ -202,8 +186,7 @@ def closed_form_delta(
         return ratio if sid == "S2" else dpth * ratio  # S5 carries delta(P_R_TH)
 
     # Metric.PR_FX
-    if not 0 < beta1 < 1:
-        raise BetaOutOfRangeError(f"beta1 must be in (0, 1), got {beta1}")
+    refuse(range_violations(beta1=beta1))
     if sid == "S4":
         return dpth
     if n_i == 0:
@@ -326,16 +309,7 @@ def sweep_beta(
             f"about {n_steps + 0.5:.3g} points, over the point budget "
             f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
         )
-    n_points = int(n_steps) + 1
-    grid = [beta_start + k * beta_step for k in range(n_points)]
-
-    delta_d_max = scenario.dep1.d_max / scenario.dep2.d_max
-    for b in grid:
-        if not b < 1:
-            raise BetaOutOfRangeError(f"grid point beta1 = {b:.6g} must be below 1")
-        beta2 = b * delta_d_max
-        if beta2 > 1:
-            raise BetaOutOfRangeError(
-                f"grid point beta1 = {b:.6g} gives beta2 = {beta2:.6g} > 1"
-            )
-    return [(b, delta_fixed(pair_for(scenario, kind, mode, beta1=b))) for b in grid]
+    # Each pair checks its own beta1 and beta2, all of them before any evaluation.
+    pairs = [pair_for(scenario, kind, mode, beta1=beta_start + k * beta_step)
+             for k in range(int(n_steps) + 1)]
+    return [(pair.beta1, delta_fixed(pair)) for pair in pairs]

@@ -21,7 +21,7 @@ from functools import cache, partial
 from ._record import record
 from .errors import NoTessellationError
 from .geometry import LayoutKind, _usable_cpus
-from .propagation import Deployment, emitted_power
+from .propagation import Deployment, emitted_power, range_violations, refuse
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -81,8 +81,7 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
     kind = LayoutKind(kind)
     if not kind.tessellates:
         raise NoTessellationError("the circle layout has no site lattice")
-    if not d_max > 0:
-        raise ValueError(f"d_max must be > 0, got {d_max}")
+    refuse(range_violations(fields=[("d_max", d_max)]))
     if not 1 <= rings <= 10:
         raise ValueError(f"rings must be in [1, 10], got {rings}")
 

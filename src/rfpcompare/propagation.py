@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from enum import Enum
 
 from ._record import record
 from .errors import (
     BetaOutOfRangeError,
     BoundNotValidError,
+    NoTessellationError,
     PlausibilityWarning,
+    ScenarioValidationError,
     SingularDistanceError,
+    UnsupportedParameterChangeError,
 )
 from .geometry import LayoutKind
 
@@ -43,19 +47,84 @@ class Deployment:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("d_max", "p_r_th", "gamma", "f", "c"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        lo, hi = GAMMA_PLAUSIBLE_RANGE
-        if not lo <= self.gamma <= hi:
-            warnings.warn(
-                f"gamma={self.gamma} is outside the plausible range [{lo}, {hi}]",
-                PlausibilityWarning,
-                stacklevel=3,  # the line that called Deployment(...), past record's __init__
-            )
+        fields = [(n, getattr(self, n)) for n in ("d_max", "p_r_th", "gamma", "f", "c", "eta")]
+        for v in refuse(range_violations(fields=fields)):
+            # stacklevel: the line that called Deployment(...), past record's __init__.
+            warnings.warn(v.message, PlausibilityWarning, stacklevel=3)
+
+
+@record
+class Violation:
+    """One validation finding; severity is "error" or "warning"."""
+
+    code: str
+    severity: str
+    path: str
+    message: str
+
+
+def range_violations(
+    *,
+    fields: Iterable[tuple[str, float]] = (),
+    beta1: float | None = None,
+    d_max: tuple[float, float] | None = None,
+    eta: tuple[float, float] | None = None,
+    layouts: Iterable[LayoutKind] = (),
+    modes: Iterable[NeighborMode] = (),
+) -> list[Violation]:
+    """The findings of every range rule that the given inputs reach: errors in
+    rule order, then warnings. This is the one place each rule is written.
+
+    ``fields`` are (path, value) pairs of deployment fields, named by the
+    path's last component. Each must be finite and > 0 (eta >= 0); a gamma
+    outside ``GAMMA_PLAUSIBLE_RANGE`` draws a warning. beta1 must lie in
+    (0, 1); given with it ``d_max`` = (d_max(1), d_max(2)), deployment (2)'s
+    matching fixed point beta2 = beta1 * d_max(1)/d_max(2) must lie in (0, 1]. The two
+    values of ``eta`` must be equal. The circle layout, which does not tile,
+    must not meet the adjacent-neighbor mode.
+    """
+    found, warned = [], []
+    lo, hi = GAMMA_PLAUSIBLE_RANGE
+    for path, value in fields:
+        name = path.rpartition(".")[2]
+        bound, inside = (">=", value >= 0) if name == "eta" else (">", value > 0)
+        if not math.isfinite(value):
+            found.append(("non_finite", path, f"{name} must be finite, got {value}"))
+        elif not inside:
+            found.append(("out_of_range", path, f"{name} must be {bound} 0, got {value}"))
+        elif name == "gamma" and not lo <= value <= hi:
+            warned.append(Violation("gamma_plausibility", "warning", path, f"gamma = {value} "
+                                    f"is outside the plausible range [{lo}, {hi}]"))
+    if beta1 is not None and not 0 < beta1 < 1:
+        found.append(("beta_out_of_range", "beta1", f"beta1 must be in (0, 1), got {beta1}"))
+    elif d_max is not None and not 0 < (beta2 := beta1 * d_max[0] / d_max[1]) <= 1:
+        found.append(("beta_out_of_range", "beta1", f"beta1 = {beta1:.6g} gives beta2 = "
+                      f"beta1 * d_max(1)/d_max(2) = {beta2:.6g}, outside (0, 1]"))
+    if LayoutKind.CIRCLE in layouts and NeighborMode.ADJACENT in modes:
+        found.append(("no_tessellation", "layouts",
+                      "the circle layout cannot be evaluated in adjacent-neighbor mode"))
+    if eta is not None and eta[0] != eta[1]:
+        found.append(("unsupported_parameter_change", "deployment2.eta",
+                      f"deployments must share eta, got {eta[0]} and {eta[1]}"))
+    return [Violation(code, "error", path, message) for code, path, message in found] + warned
+
+
+#: The exception that refuses each error code outside a scenario document.
+_REFUSALS = {"non_finite": ValueError, "out_of_range": ValueError,
+             "beta_out_of_range": BetaOutOfRangeError, "no_tessellation": NoTessellationError,
+             "unsupported_parameter_change": UnsupportedParameterChangeError}
+
+
+def refuse(violations: list[Violation], document: bool = False) -> list[Violation]:
+    """Raise the first error of ``violations``: a ScenarioValidationError at its
+    field path in a scenario ``document``, else its code's exception. Return
+    the warnings if there is no error."""
+    for v in violations:
+        if v.severity == "error":
+            if document:
+                raise ScenarioValidationError(v.path, v.message)
+            raise _REFUSALS[v.code](v.message)
+    return violations
 
 
 class NeighborMode(Enum):
@@ -78,8 +147,7 @@ def received_power(
     """
     if d <= 0:
         raise SingularDistanceError(f"distance must be > 0, got {d}")
-    if f <= 0 or c <= 0:
-        raise ValueError("f and c must be > 0")
+    refuse(range_violations(fields=[("f", f), ("c", c)]))
     return p_e / (d**gamma * f**eta * c)
 
 

@@ -12,14 +12,9 @@ from __future__ import annotations
 import json
 
 from ._record import record
-from .errors import (
-    BetaOutOfRangeError,
-    ScenarioSchemaError,
-    ScenarioSyntaxError,
-    ScenarioValidationError,
-)
+from .errors import ScenarioSchemaError, ScenarioSyntaxError, ScenarioValidationError
 from .geometry import LayoutKind, TESSELLATING_KINDS
-from .propagation import GAMMA_PLAUSIBLE_RANGE, Deployment, NeighborMode
+from .propagation import Deployment, NeighborMode, Violation, range_violations, refuse
 
 _DEFAULT_LAYOUTS = TESSELLATING_KINDS
 _DEFAULT_MODES = (NeighborMode.NONE, NeighborMode.ADJACENT)
@@ -41,8 +36,7 @@ class Scenario:
     modes: tuple[NeighborMode, ...] = _DEFAULT_MODES
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta1 < 1:
-            raise BetaOutOfRangeError(f"beta1 must be in (0, 1), got {self.beta1}")
+        refuse(range_violations(beta1=self.beta1))
         object.__setattr__(self, "layouts", tuple(LayoutKind(k) for k in self.layouts))
         object.__setattr__(self, "modes", tuple(NeighborMode(m) for m in self.modes))
 
@@ -126,11 +120,8 @@ def _parse_deployment(obj: object, path: str) -> Deployment:
         raise ScenarioSchemaError(f"{path} must be an object")
     _check_keys(obj, _DEPLOYMENT_REQUIRED, tuple(_DEPLOYMENT_OPTIONAL), f"{path}.")
     values = {key: _as_number(obj[key], f"{path}.{key}") for key in obj}
-    for key in ("d_max_m", "p_r_th", "gamma", "f_mhz", "c"):
-        if key in values and not values[key] > 0:
-            raise ScenarioValidationError(f"{path}.{key}", f"must be > 0, got {values[key]}")
-    if "eta" in values and values["eta"] < 0:
-        raise ScenarioValidationError(f"{path}.eta", f"must be >= 0, got {values['eta']}")
+    refuse(range_violations(fields=[(f"{path}.{key}", v) for key, v in values.items()]),
+           document=True)
     return Deployment(
         d_max=values["d_max_m"],
         p_r_th=values["p_r_th"],
@@ -186,15 +177,7 @@ def parse_scenario_file(document: str) -> Scenario:
     dep2 = _parse_deployment(data["deployment2"], "deployment2")
 
     beta1 = _as_number(data["beta1"], "beta1") if "beta1" in data else DEFAULT_BETA1
-    if not 0 < beta1 < 1:
-        raise ScenarioValidationError("beta1", f"must be in (0, 1), got {beta1}")
-    beta2 = beta1 * dep1.d_max / dep2.d_max
-    if beta2 > 1:
-        raise ScenarioValidationError(
-            "beta1",
-            f"beta2 = beta1 * d_max(1)/d_max(2) = {beta2:.6g} exceeds 1; the fixed "
-            "evaluation point would fall outside deployment (2)'s cell",
-        )
+    refuse(range_violations(beta1=beta1, d_max=(dep1.d_max, dep2.d_max)), document=True)
 
     layouts = (
         _parse_enum_list(data["layouts"], LayoutKind, "layouts")
@@ -219,63 +202,16 @@ def parse_scenario_file(document: str) -> Scenario:
 
 # -- Validation --------------------------------------------------------------
 
-@record
-class Violation:
-    """One validation finding; severity is "error" or "warning"."""
-
-    code: str
-    severity: str
-    path: str
-    message: str
-
-
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Check a scenario's cross-field constraints.
 
     Returns one entry per finding; entries with severity "error" make the
     scenario unusable, warnings are advisory (plausibility guards).
     """
-    violations: list[Violation] = []
-    if not scenario.id:
-        violations.append(Violation("empty_id", "error", "id", "scenario id must not be empty"))
-
-    beta2 = scenario.beta1 * scenario.dep1.d_max / scenario.dep2.d_max
-    if beta2 > 1:
-        violations.append(
-            Violation(
-                "beta_out_of_range",
-                "error",
-                "beta1",
-                f"beta2 = {beta2:.6g} exceeds 1 for beta1 = {scenario.beta1:.6g}",
-            )
-        )
-    if LayoutKind.CIRCLE in scenario.layouts and NeighborMode.ADJACENT in scenario.modes:
-        violations.append(
-            Violation(
-                "no_tessellation",
-                "error",
-                "layouts",
-                "the circle layout cannot be evaluated in adjacent-neighbor mode",
-            )
-        )
-    if scenario.dep1.eta != scenario.dep2.eta:
-        violations.append(
-            Violation(
-                "unsupported_parameter_change",
-                "error",
-                "deployment2.eta",
-                f"deployments must share eta, got {scenario.dep1.eta} and {scenario.dep2.eta}",
-            )
-        )
-    lo, hi = GAMMA_PLAUSIBLE_RANGE
-    for name, dep in (("deployment1", scenario.dep1), ("deployment2", scenario.dep2)):
-        if not lo <= dep.gamma <= hi:
-            violations.append(
-                Violation(
-                    "gamma_plausibility",
-                    "warning",
-                    f"{name}.gamma",
-                    f"gamma = {dep.gamma} is outside the plausible range [{lo}, {hi}]",
-                )
-            )
-    return violations
+    violations = [] if scenario.id else [
+        Violation("empty_id", "error", "id", "scenario id must not be empty")]
+    dep1, dep2 = scenario.dep1, scenario.dep2
+    return violations + range_violations(
+        fields=[("deployment1.gamma", dep1.gamma), ("deployment2.gamma", dep2.gamma)],
+        beta1=scenario.beta1, d_max=(dep1.d_max, dep2.d_max), eta=(dep1.eta, dep2.eta),
+        layouts=scenario.layouts, modes=scenario.modes)

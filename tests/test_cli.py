@@ -213,6 +213,35 @@ def test_bad_scenario_is_one_error_line(run_cli, tmp_path, command, source, mess
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("command", [
+    ["compare"],
+    ["sweep", "--layout", "hexagonal", "--beta-start", "0.05", "--beta-end", "0.1",
+     "--beta-step", "0.01"],
+    ["simulate", "--layout", "hexagonal"],
+], ids=["compare", "sweep", "simulate"])
+@pytest.mark.parametrize("old,new,named", [
+    ('"p_r_th": 1,', '"p_r_th": 1e400,', "deployment1.p_r_th: p_r_th must be finite, got inf"),
+    ('"eta": 2', '"eta": 1e400', "deployment1.eta: eta must be finite, got inf"),
+    ('"d_max_m": 250', '"d_max_m": -1e400',
+     "deployment2.d_max_m: d_max_m must be finite, got -inf"),
+], ids=["p_r_th", "eta-on-both", "d_max"])
+def test_non_finite_deployment_value_is_one_error_line(tmp_path, command, old, new, named):
+    """JSON reads 1e400 as an infinite float. It is refused by field path with
+    exit 2, where `compare` printed inf ratios, or finite ones for an infinite
+    eta shared by both deployments, and exited 0."""
+    deployment = {"d_max_m": 500, "p_r_th": 1, "gamma": 3, "f_mhz": 700, "eta": 2}
+    text = s1_document(deployment1=deployment, deployment2={**deployment, "d_max_m": 250})
+    assert old in text
+    source = str(tmp_path / "big.json")
+    with open(source, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+    out = ["--out", str(tmp_path / "field.csv")] if command[0] == "simulate" else []
+    result = invoke(command[0], "--scenario", source, *command[1:], *out)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: invalid scenario file {source!r}: {named}\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b"\xff\xfe{"),
@@ -356,7 +385,7 @@ def test_implausible_gamma_is_reported_once(run_cli, tmp_path, args):
     lines = [line for line in proc.stderr.decode().splitlines() if "gamma" in line]
     assert len(lines) == 1, proc.stderr
     if args[0] == "simulate":
-        assert lines[0] == "warning: gamma=7.0 is outside the plausible range [1.5, 6.5]"
+        assert lines[0] == "warning: gamma = 7.0 is outside the plausible range [1.5, 6.5]"
     else:
         assert lines[0].startswith("warning: deployment1.gamma: gamma = 7.0 ")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -27,7 +28,9 @@ from rfpcompare import (
     builtin_scenario_ids,
     closed_form_delta,
     delta_emitted,
+    generate_sites,
     parse_scenario_file,
+    received_power,
     sweep_beta,
     validate_scenario,
 )
@@ -391,7 +394,9 @@ def outcome(call):
 S5 = builtin_scenario("S5")
 HEX, CIRCLE = LayoutKind.HEXAGONAL, LayoutKind.CIRCLE
 NONE, ADJACENT = NeighborMode.NONE, NeighborMode.ADJACENT
-GAMMA_9 = "gamma=9.0 is outside the plausible range [1.5, 6.5]"
+GAMMA_9 = "gamma = 9.0 is outside the plausible range [1.5, 6.5]"
+BETA2 = "beta1 = 0.2 gives beta2 = beta1 * d_max(1)/d_max(2) = 2, outside (0, 1]"
+CIRCLE_ADJACENT = "the circle layout cannot be evaluated in adjacent-neighbor mode"
 
 # (id, call, outcome): every range rule at every entry point that applies it.
 RANGE_CASES = [
@@ -408,9 +413,22 @@ RANGE_CASES = [
      (ValueError, None, "c must be > 0, got 0.0")),
     ("Deployment-eta", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=-0.5),
      (ValueError, None, "eta must be >= 0, got -0.5")),
+    ("Deployment-p_r_th-infinite", lambda: Deployment(500.0, math.inf, 3.0, 700.0),
+     (ValueError, None, "p_r_th must be finite, got inf")),
+    ("Deployment-eta-nan", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=math.nan),
+     (ValueError, None, "eta must be finite, got nan")),
+    ("Deployment-d_max-infinite", lambda: Deployment(math.inf, 1.0, 3.0, 700.0),
+     (ValueError, None, "d_max must be finite, got inf")),
     ("Deployment-eta-zero", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=0.0), []),
     ("Deployment-gamma-plausibility", lambda: Deployment(500.0, 1.0, 9.0, 700.0),
      [(PlausibilityWarning, GAMMA_9)]),
+    # The deployment fields that received_power and generate_sites take alone.
+    ("received_power-f", lambda: received_power(1.0, 1.0, 3.0, 0.0),
+     (ValueError, None, "f must be > 0, got 0.0")),
+    ("received_power-c-nan", lambda: received_power(1.0, 1.0, 3.0, 700.0, c=math.nan),
+     (ValueError, None, "c must be finite, got nan")),
+    ("generate_sites-d_max-nan", lambda: generate_sites(HEX, math.nan, 2),
+     (ValueError, None, "d_max must be finite, got nan")),
     # Scenario: beta1 in (0, 1).
     ("Scenario-beta1-high", lambda: scenario(beta1=1.5),
      (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.5")),
@@ -420,34 +438,41 @@ RANGE_CASES = [
     ("DeploymentPair-beta1", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 1.0, NONE),
      (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
     ("DeploymentPair-beta2", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 0.2, NONE),
-     (BetaOutOfRangeError, None,
-      "beta2 = beta1 * d_max(1)/d_max(2) = 2 must be in (0, 1]")),
+     (BetaOutOfRangeError, None, BETA2)),
     ("DeploymentPair-circle-adjacent",
      lambda: DeploymentPair(S5.dep1, S5.dep2, CIRCLE, 0.05, ADJACENT),
-     (NoTessellationError, None, "adjacent-neighbor mode requires a tessellating layout")),
+     (NoTessellationError, None, CIRCLE_ADJACENT)),
     ("DeploymentPair-eta-change", lambda: DeploymentPair(
         Deployment(500.0, 1.0, 3.0, 700.0), Deployment(250.0, 1.0, 3.0, 700.0, eta=2.5),
         HEX), []),
     # parse_scenario_file: deployment fields, beta1 and beta2, by field path.
     ("parse-d_max", lambda: parse_scenario_file(document({"d_max_m": -5})),
      (ScenarioValidationError, "deployment1.d_max_m",
-      "deployment1.d_max_m: must be > 0, got -5.0")),
+      "deployment1.d_max_m: d_max_m must be > 0, got -5.0")),
     ("parse-p_r_th", lambda: parse_scenario_file(document(None, {"p_r_th": 0})),
-     (ScenarioValidationError, "deployment2.p_r_th", "deployment2.p_r_th: must be > 0, got 0.0")),
+     (ScenarioValidationError, "deployment2.p_r_th",
+      "deployment2.p_r_th: p_r_th must be > 0, got 0.0")),
     ("parse-gamma", lambda: parse_scenario_file(document({"gamma": -3})),
-     (ScenarioValidationError, "deployment1.gamma", "deployment1.gamma: must be > 0, got -3.0")),
+     (ScenarioValidationError, "deployment1.gamma",
+      "deployment1.gamma: gamma must be > 0, got -3.0")),
     ("parse-f", lambda: parse_scenario_file(document(None, {"f_mhz": 0})),
-     (ScenarioValidationError, "deployment2.f_mhz", "deployment2.f_mhz: must be > 0, got 0.0")),
+     (ScenarioValidationError, "deployment2.f_mhz",
+      "deployment2.f_mhz: f_mhz must be > 0, got 0.0")),
     ("parse-c", lambda: parse_scenario_file(document({"c": 0})),
-     (ScenarioValidationError, "deployment1.c", "deployment1.c: must be > 0, got 0.0")),
+     (ScenarioValidationError, "deployment1.c", "deployment1.c: c must be > 0, got 0.0")),
     ("parse-eta", lambda: parse_scenario_file(document(None, {"eta": -1})),
-     (ScenarioValidationError, "deployment2.eta", "deployment2.eta: must be >= 0, got -1.0")),
+     (ScenarioValidationError, "deployment2.eta", "deployment2.eta: eta must be >= 0, got -1.0")),
+    ("parse-p_r_th-1e400", lambda: parse_scenario_file(
+        document().replace('"p_r_th": 1,', '"p_r_th": 1e400,', 1)),
+     (ScenarioValidationError, "deployment1.p_r_th",
+      "deployment1.p_r_th: p_r_th must be finite, got inf")),
+    ("parse-eta-1e400-on-both", lambda: parse_scenario_file(
+        document().replace('"eta": 2', '"eta": 1e400')),
+     (ScenarioValidationError, "deployment1.eta", "deployment1.eta: eta must be finite, got inf")),
     ("parse-beta1", lambda: parse_scenario_file(document(beta1=1)),
-     (ScenarioValidationError, "beta1", "beta1: must be in (0, 1), got 1.0")),
+     (ScenarioValidationError, "beta1", "beta1: beta1 must be in (0, 1), got 1.0")),
     ("parse-beta2", lambda: parse_scenario_file(document(None, {"d_max_m": 50}, beta1=0.2)),
-     (ScenarioValidationError, "beta1",
-      "beta1: beta2 = beta1 * d_max(1)/d_max(2) = 2 exceeds 1; the fixed evaluation "
-      "point would fall outside deployment (2)'s cell")),
+     (ScenarioValidationError, "beta1", f"beta1: {BETA2}")),
     # The pair rules that validate_scenario reports are not parse errors.
     ("parse-eta-change", lambda: parse_scenario_file(document(None, {"eta": 3})), []),
     ("parse-circle-adjacent", lambda: parse_scenario_file(
@@ -457,32 +482,31 @@ RANGE_CASES = [
     # validate_scenario: beta2, circle in adjacent mode, shared eta, gamma.
     ("validate-beta2", lambda: validate_scenario(
         scenario(dep2=(50.0, 1.0, 3.0, 700.0), beta1=0.2)),
-     [("beta_out_of_range", "error", "beta1", "beta2 = 2 exceeds 1 for beta1 = 0.2")]),
+     [("beta_out_of_range", "error", "beta1", BETA2)]),
     ("validate-circle-adjacent", lambda: validate_scenario(
         scenario(layouts=(CIRCLE,), modes=(ADJACENT,))),
-     [("no_tessellation", "error", "layouts",
-       "the circle layout cannot be evaluated in adjacent-neighbor mode")]),
+     [("no_tessellation", "error", "layouts", CIRCLE_ADJACENT)]),
     ("validate-eta-change", lambda: validate_scenario(
         scenario(dep2=(250.0, 1.0, 3.0, 700.0, 3.0))),
      [("unsupported_parameter_change", "error", "deployment2.eta",
        "deployments must share eta, got 2.0 and 3.0")]),
     ("validate-gamma-plausibility", lambda: validate_scenario(
         scenario(dep2=(250.0, 1.0, 1.2, 700.0))),
-     [(PlausibilityWarning, "gamma=1.2 is outside the plausible range [1.5, 6.5]"),
+     [(PlausibilityWarning, "gamma = 1.2 is outside the plausible range [1.5, 6.5]"),
       ("gamma_plausibility", "warning", "deployment2.gamma",
        "gamma = 1.2 is outside the plausible range [1.5, 6.5]")]),
     ("validate-all-errors-in-order", lambda: validate_scenario(scenario(
         dep2=(50.0, 1.0, 3.0, 700.0, 3.0), beta1=0.2, layouts=(CIRCLE,), modes=(ADJACENT,))),
-     [("beta_out_of_range", "error", "beta1", "beta2 = 2 exceeds 1 for beta1 = 0.2"),
-      ("no_tessellation", "error", "layouts",
-       "the circle layout cannot be evaluated in adjacent-neighbor mode"),
+     [("beta_out_of_range", "error", "beta1", BETA2),
+      ("no_tessellation", "error", "layouts", CIRCLE_ADJACENT),
       ("unsupported_parameter_change", "error", "deployment2.eta",
        "deployments must share eta, got 2.0 and 3.0")]),
     # sweep_beta: every grid point's beta1 below 1 and beta2 <= 1.
     ("sweep-beta2", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.11, 0.01),
-     (BetaOutOfRangeError, None, "grid point beta1 = 0.11 gives beta2 = 1.1 > 1")),
+     (BetaOutOfRangeError, None,
+      "beta1 = 0.11 gives beta2 = beta1 * d_max(1)/d_max(2) = 1.1, outside (0, 1]")),
     ("sweep-beta1", lambda: sweep_beta(builtin_scenario("S4"), HEX, NONE, 0.9, 1.0, 0.1),
-     (BetaOutOfRangeError, None, "grid point beta1 = 1 must be below 1")),
+     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
     # closed_form_delta: beta1 in (0, 1) for the fixed-distance ratio.
     ("closed_form_delta-beta1",
      lambda: closed_form_delta("S1", Metric.PR_FX, HEX, NONE, 1.0),
