@@ -20,7 +20,6 @@ from .errors import (
     BoundNotValidError,
     NoTessellationError,
     PlausibilityWarning,
-    ScenarioValidationError,
     SingularDistanceError,
     UnsupportedParameterChangeError,
 )
@@ -78,10 +77,10 @@ def range_violations(
     ``fields`` are (path, value) pairs of deployment fields, named by the
     path's last component. Each must be finite and > 0 (eta >= 0); a gamma
     outside ``GAMMA_PLAUSIBLE_RANGE`` draws a warning. beta1 must lie in
-    (0, 1); given with it ``d_max`` = (d_max(1), d_max(2)), deployment (2)'s
-    matching fixed point beta2 = beta1 * d_max(1)/d_max(2) must lie in (0, 1]. The two
-    values of ``eta`` must be equal. The circle layout, which does not tile,
-    must not meet the adjacent-neighbor mode.
+    (0, 1). When ``d_max`` = (d_max(1), d_max(2)) comes with it, deployment
+    (2)'s matching fixed point beta2 = beta1 * d_max(1)/d_max(2) must lie in
+    (0, 1]. The two values of ``eta`` must be equal. The circle layout, which
+    does not tile, must not meet the adjacent-neighbor mode.
     """
     found, warned = [], []
     lo, hi = GAMMA_PLAUSIBLE_RANGE
@@ -115,14 +114,11 @@ _REFUSALS = {"non_finite": ValueError, "out_of_range": ValueError,
              "unsupported_parameter_change": UnsupportedParameterChangeError}
 
 
-def refuse(violations: list[Violation], document: bool = False) -> list[Violation]:
-    """Raise the first error of ``violations``: a ScenarioValidationError at its
-    field path in a scenario ``document``, else its code's exception. Return
-    the warnings if there is no error."""
+def refuse(violations: list[Violation]) -> list[Violation]:
+    """Raise the first error of ``violations`` as its code's exception; return
+    the warnings if there is none."""
     for v in violations:
         if v.severity == "error":
-            if document:
-                raise ScenarioValidationError(v.path, v.message)
             raise _REFUSALS[v.code](v.message)
     return violations
 

@@ -115,13 +115,21 @@ def _check_keys(obj: dict, required: tuple, optional: tuple, path: str) -> None:
             raise ScenarioSchemaError(f"missing required field {path}{key!r}")
 
 
+def _refuse_in_document(violations: list[Violation]) -> None:
+    """Raise the first error of ``violations`` as a ScenarioValidationError at
+    its field path."""
+    for v in violations:
+        if v.severity == "error":
+            raise ScenarioValidationError(v.path, v.message)
+
+
 def _parse_deployment(obj: object, path: str) -> Deployment:
     if not isinstance(obj, dict):
         raise ScenarioSchemaError(f"{path} must be an object")
     _check_keys(obj, _DEPLOYMENT_REQUIRED, tuple(_DEPLOYMENT_OPTIONAL), f"{path}.")
     values = {key: _as_number(obj[key], f"{path}.{key}") for key in obj}
-    refuse(range_violations(fields=[(f"{path}.{key}", v) for key, v in values.items()]),
-           document=True)
+    _refuse_in_document(range_violations(fields=[(f"{path}.{key}", value)
+                                                 for key, value in values.items()]))
     return Deployment(
         d_max=values["d_max_m"],
         p_r_th=values["p_r_th"],
@@ -177,7 +185,7 @@ def parse_scenario_file(document: str) -> Scenario:
     dep2 = _parse_deployment(data["deployment2"], "deployment2")
 
     beta1 = _as_number(data["beta1"], "beta1") if "beta1" in data else DEFAULT_BETA1
-    refuse(range_violations(beta1=beta1, d_max=(dep1.d_max, dep2.d_max)), document=True)
+    _refuse_in_document(range_violations(beta1=beta1, d_max=(dep1.d_max, dep2.d_max)))
 
     layouts = (
         _parse_enum_list(data["layouts"], LayoutKind, "layouts")

@@ -201,45 +201,26 @@ def test_compare_rejects_invalid_scenario_file(tmp_path):
     ("S9", "error: scenario 'S9' is neither a built-in id (S1, S2, S3, S4, S5) "
            "nor an existing file"),
     ("bad.json", "error: invalid scenario file 'bad.json': "),
-], ids=["unknown-id", "invalid-file"])
+    ("p_r_th.json", "error: invalid scenario file 'p_r_th.json': deployment1.p_r_th: "
+                    "p_r_th must be finite, got inf"),
+    ("eta.json", "error: invalid scenario file 'eta.json': deployment1.eta: "
+                 "eta must be finite, got inf"),
+], ids=["unknown-id", "invalid-file", "infinite-p_r_th", "infinite-eta-on-both"])
 def test_bad_scenario_is_one_error_line(run_cli, tmp_path, command, source, message):
     """A bad scenario id or file is reported like every other invalid input:
-    one `error: ` line and exit 2, not a usage message."""
+    one `error: ` line and exit 2, not a usage message. JSON reads 1e400 as an
+    infinite float: `compare` printed inf ratios for such a p_r_th, and finite
+    ones for an infinite eta shared by both deployments, and exited 0."""
     (tmp_path / "bad.json").write_text('{"id": "X"}', encoding="utf-8")
+    (tmp_path / "p_r_th.json").write_text(
+        s1_document().replace('"p_r_th": 1,', '"p_r_th": 1e400,', 1), encoding="utf-8")
+    (tmp_path / "eta.json").write_text(
+        s1_document().replace('"f_mhz": 700', '"f_mhz": 700, "eta": 1e400'), encoding="utf-8")
     proc = run_cli([command[0], "--scenario", source, *command[1:]])
     assert proc.returncode == 2
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
     assert proc.stdout == b""
-
-
-@pytest.mark.parametrize("command", [
-    ["compare"],
-    ["sweep", "--layout", "hexagonal", "--beta-start", "0.05", "--beta-end", "0.1",
-     "--beta-step", "0.01"],
-    ["simulate", "--layout", "hexagonal"],
-], ids=["compare", "sweep", "simulate"])
-@pytest.mark.parametrize("old,new,named", [
-    ('"p_r_th": 1,', '"p_r_th": 1e400,', "deployment1.p_r_th: p_r_th must be finite, got inf"),
-    ('"eta": 2', '"eta": 1e400', "deployment1.eta: eta must be finite, got inf"),
-    ('"d_max_m": 250', '"d_max_m": -1e400',
-     "deployment2.d_max_m: d_max_m must be finite, got -inf"),
-], ids=["p_r_th", "eta-on-both", "d_max"])
-def test_non_finite_deployment_value_is_one_error_line(tmp_path, command, old, new, named):
-    """JSON reads 1e400 as an infinite float. It is refused by field path with
-    exit 2, where `compare` printed inf ratios, or finite ones for an infinite
-    eta shared by both deployments, and exited 0."""
-    deployment = {"d_max_m": 500, "p_r_th": 1, "gamma": 3, "f_mhz": 700, "eta": 2}
-    text = s1_document(deployment1=deployment, deployment2={**deployment, "d_max_m": 250})
-    assert old in text
-    source = str(tmp_path / "big.json")
-    with open(source, "w", encoding="utf-8") as fh:
-        fh.write(text.replace(old, new))
-    out = ["--out", str(tmp_path / "field.csv")] if command[0] == "simulate" else []
-    result = invoke(command[0], "--scenario", source, *command[1:], *out)
-    assert result.exit_code == 2
-    assert result.stderr == f"error: invalid scenario file {source!r}: {named}\n"
-    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("make", [
