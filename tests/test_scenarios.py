@@ -386,9 +386,9 @@ def outcome(call):
             result = call()
         except (RfpError, ValueError) as exc:
             return type(exc), getattr(exc, "path", None), str(exc)
-    found = [(v.code, v.severity, v.path, v.message) for v in result] if isinstance(
-        result, list) else []
-    return [(w.category, str(w.message)) for w in caught] + found
+    found = result if isinstance(result, list) else []
+    return [(w.category, str(w.message)) for w in caught] + [
+        (v.code, v.severity, v.path, v.message) for v in found]
 
 
 S5 = builtin_scenario("S5")
