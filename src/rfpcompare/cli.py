@@ -25,6 +25,7 @@ from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair
 from .errors import PlausibilityWarning, RfpError
 from .geometry import LayoutKind, TESSELLATING_KINDS
 from .gridsim import (
+    central_alpha,
     compute_field,
     export_field_csv,
     field_bands,
@@ -244,12 +245,14 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     """Simulate the received-power field on an actual site lattice.
 
     Writes the per-pixel CSV and prints a summary: pixel counts, the empirical
-    mean serving distance (as a fraction of d_max), and the number of
-    neighbor-upper-bound violations. The bound charges each first-ring
-    neighbor the power at zeta * d_max. Up to the 10-ring cap it held in every
-    case measured with gamma >= 2. Below 2 the power of the farther rings
-    grows without limit: at gamma = 1.8 the hexagonal lattice breaks the bound
-    from 6 rings on. Violations get a warning on stderr; the exit code stays 0.
+    alpha (mean serving distance over d_max of the pixels the central site
+    serves, less those within half a resolution of it; validate checks the
+    same quantity), and the number of neighbor-upper-bound violations. The
+    bound charges each first-ring neighbor the power at zeta * d_max. Up to
+    the 10-ring cap it held in every case measured with gamma >= 2. Below 2
+    the power of the farther rings grows without limit: at gamma = 1.8 the
+    hexagonal lattice breaks the bound from 6 rings on. Violations get a
+    warning on stderr; the exit code stays 0.
     """
     # Unvalidated: report the constructors' warnings without a source location.
     with warnings.catch_warnings(record=True) as caught:
@@ -263,18 +266,13 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
         lattice = generate_sites(kind, dep.d_max, rings)
         fld = compute_field(lattice, dep, resolution)
         violations = len(verify_upper_bound(fld, dep, kind))
+        # Refuses a grid without central pixels, where "0 violations" is vacuous.
+        emp_alpha = central_alpha(fld.serving_site, fld.serving_distance, resolution, dep.d_max)
     except (RfpError, ValueError) as exc:
         _fail(str(exc))
     except OverflowError as exc:
         _fail(str(in_deployment(which, exc)))
 
-    central = fld.central_cell
-    if not central.any():
-        # Nothing to average or to check: the summary would print NaN and a
-        # vacuous "0 violations".
-        _fail(f"resolution {resolution:.9g} m leaves no usable pixel in the central "
-              f"cell (pixels: {fld.n_pixels}, excluded: {fld.n_excluded})")
-    emp_alpha = float(fld.serving_distance[central].mean() / dep.d_max)
     # Band by band, so that the CSV text is never held whole.
     _emit((export_field_csv(band, header=i == 0) for i, band in enumerate(field_bands(fld))),
           out)

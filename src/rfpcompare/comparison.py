@@ -90,10 +90,10 @@ def delta_emitted(pair: DeploymentPair) -> float:
 def _received_ratio(pair: DeploymentPair, x1: float, x2: float) -> float:
     """Received power at x1 * d_max(1) in deployment (1) over that at
     x2 * d_max(2) in deployment (2). An overflow names its deployment."""
-    brackets = []
+    brackets, n_i = [], neighbor_count(pair.layout, pair.mode)
     for which, x, dep in ((1, x1, pair.dep1), (2, x2, pair.dep2)):
         try:
-            brackets.append(_bracket(x, dep.gamma, pair.layout, pair.mode))
+            brackets.append(_bracket(x, dep.gamma, pair.layout, n_i))
         except OverflowError as exc:
             raise in_deployment(which, exc) from None
     return pair.delta_p_r_th * brackets[0] / brackets[1]

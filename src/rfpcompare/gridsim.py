@@ -21,7 +21,7 @@ from functools import cache, partial
 from ._record import record
 from .errors import NoTessellationError
 from .geometry import LayoutKind, _usable_cpus
-from .propagation import Deployment, emitted_power, range_violations, refuse
+from .propagation import Deployment, emitted_power, neighbor_charge, range_violations, refuse
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -454,8 +454,7 @@ def verify_upper_bound(
         n_i = field.lattice.n_first_ring
 
     limit = layout.zeta * dep.d_max
-    scale = emitted_power(dep) / (dep.f**dep.eta * dep.c)
-    neighbor_term = n_i * scale * limit**-dep.gamma
+    neighbor_term = dep.p_r_th * neighbor_charge(dep.gamma, layout, n_i)
     centres = []
     for band in field_bands(field):
         checked = band.central_cell & (band.serving_distance <= limit)
@@ -465,11 +464,25 @@ def verify_upper_bound(
     return np.concatenate(centres)
 
 
-def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
-    """Mean serving distance over the central site's cell, in units of d_max.
+def central_alpha(serving_site: np.ndarray, serving_distance: np.ndarray,
+                  resolution: float, d_max: float) -> float:
+    """The empirical alpha: the mean serving distance over d_max of the pixels
+    served by site 0, less those within half a ``resolution`` of their site
+    (``RfpField.central_cell``). Without such a pixel, raises ``ValueError``."""
+    import numpy as np
+    excluded = serving_distance < resolution / 2.0
+    central = (serving_site == 0) & ~excluded
+    if not central.any():
+        raise ValueError(
+            f"resolution {resolution:.9g} m leaves no usable pixel in the central cell "
+            f"(pixels: {serving_site.size}, excluded: {np.count_nonzero(excluded)})"
+        )
+    return float(serving_distance[central].mean() / d_max)
 
-    Averages over all pixels whose nearest site is the central one; converges
-    to the layout's closed-form alpha as the resolution shrinks.
+
+def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
+    """``central_alpha`` over the default region, from a sweep without power;
+    converges to the layout's closed-form alpha as the resolution shrinks.
     """
     import numpy as np
     if not resolution <= lattice.d_max / 100.0:
@@ -478,8 +491,7 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
         )
     xs, ys = _pixel_axes(default_region(lattice), resolution)
     serving_id, min_d2, _ = _site_sweep(lattice, xs, ys)
-    central = serving_id == 0
-    return float(np.sqrt(min_d2[central]).mean() / lattice.d_max)
+    return central_alpha(serving_id, np.sqrt(min_d2, out=min_d2), resolution, lattice.d_max)
 
 
 _CSV_HEADER = "x_m,y_m,serving_site,distance_m,rfp_serving,rfp_total,excluded\n"

@@ -5,8 +5,6 @@ other. Everything is seeded, so repeated runs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from ._record import record
 from .comparison import CLOSED_FORM_RTOL, verify_closed_forms
 from .geometry import LayoutKind, TESSELLATING_KINDS, estimate_alpha_monte_carlo
@@ -51,16 +49,11 @@ def _closed_form_checks() -> list[CheckResult]:
     return results
 
 
-def _geometry_checks(
-    seed: int, mc_samples: int, alpha_reference: Mapping[LayoutKind, float] | None
-) -> list[CheckResult]:
+def _geometry_checks(seed: int, mc_samples: int) -> list[CheckResult]:
     results = []
     for i, kind in enumerate(LayoutKind):
         estimate, stderr = estimate_alpha_monte_carlo(kind, mc_samples, seed + i)
-        reference = (
-            alpha_reference[kind] if alpha_reference is not None else kind.alpha
-        )
-        err = abs(estimate - reference)
+        err = abs(estimate - kind.alpha)
         tol = max(MC_ALPHA_TOL, 5.0 * stderr)
         results.append(
             CheckResult(
@@ -68,7 +61,7 @@ def _geometry_checks(
                 name=f"monte-carlo-alpha-{kind.value}",
                 passed=err <= tol,
                 detail=(
-                    f"estimate {estimate:.6f} vs {reference:.6f} "
+                    f"estimate {estimate:.6f} vs {kind.alpha:.6f} "
                     f"(|err| {err:.2e}, stderr {stderr:.2e}, tol {tol:.2e})"
                 ),
             )
@@ -174,19 +167,12 @@ def _simulation_checks() -> list[CheckResult]:
 
 
 def run_validation(
-    seed: int = DEFAULT_SEED,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    alpha_reference: Mapping[LayoutKind, float] | None = None,
+    seed: int = DEFAULT_SEED, mc_samples: int = DEFAULT_MC_SAMPLES
 ) -> list[CheckResult]:
-    """Run every check family and return the ordered results.
-
-    ``alpha_reference`` overrides the closed-form alpha table the Monte Carlo
-    estimates are compared against; it exists so tests can corrupt a constant
-    and watch the right check fail.
-    """
+    """Run every check family and return the ordered results."""
     results: list[CheckResult] = []
     results.extend(_closed_form_checks())
-    results.extend(_geometry_checks(seed, mc_samples, alpha_reference))
+    results.extend(_geometry_checks(seed, mc_samples))
     results.extend(_propagation_checks(seed))
     results.extend(_simulation_checks())
     return results

@@ -618,11 +618,15 @@ def test_validate_names_monte_carlo_check_when_alpha_is_corrupted(monkeypatch):
     assert "monte-carlo-alpha-hexagonal" in result.stderr
 
 
-def test_run_validation_alpha_reference_negative_control():
-    """The injectable reference corrupts exactly the Monte Carlo comparison."""
-    corrupted = {kind: kind.alpha for kind in LayoutKind}
-    corrupted[LayoutKind.SQUARE] = 0.6
-    results = run_validation(mc_samples=100_000, alpha_reference=corrupted)
+def test_run_validation_alpha_reference_negative_control(monkeypatch):
+    """A corrupted square alpha fails exactly the square's Monte Carlo check."""
+    real = LayoutKind.alpha.fget
+
+    def corrupted(kind):
+        return 0.6 if kind is LayoutKind.SQUARE else real(kind)
+
+    monkeypatch.setattr(LayoutKind, "alpha", property(corrupted))
+    results = run_validation(mc_samples=100_000)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["monte-carlo-alpha-square"]
 

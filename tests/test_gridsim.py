@@ -20,6 +20,7 @@ from rfpcompare import (
     Region,
     SiteLattice,
     TESSELLATING_KINDS,
+    builtin_scenario,
     cell_contains,
     compute_field,
     empirical_alpha,
@@ -692,6 +693,26 @@ def test_upper_bound_rejects_mismatched_inputs():
         verify_upper_bound(fld, Deployment(250.0, 1.0, 3.0, 700.0), HEX)
 
 
+@pytest.mark.parametrize("rings,violations", [(6, 56), (7, 3972), (10, 5890)])
+def test_field_check_agrees_with_the_scalar_bound_where_it_fails(rings, violations):
+    """At gamma = 1.8 the farther rings break the paper's bound. Pixel by
+    pixel, the field check flags exactly the checked pixels whose total
+    exceeds the published scalar bound ``rfp_upper_bound``."""
+    dep = Deployment(d_max=100.0, p_r_th=1.0, gamma=1.8, f=700.0)
+    lattice = generate_sites(HEX, dep.d_max, rings)
+    fld = compute_field(lattice, dep, 2.0)
+    centres = verify_upper_bound(fld, dep, HEX)
+    assert len(centres) == violations
+    flagged = np.zeros(fld.serving_site.shape, dtype=bool)
+    flagged[np.searchsorted(fld.ys, centres[:, 1]), np.searchsorted(fld.xs, centres[:, 0])] = True
+    expected = np.zeros_like(flagged)
+    checked = fld.central_cell & (fld.serving_distance <= HEX.zeta * dep.d_max)
+    for iy, ix in np.argwhere(checked):
+        bound = rfp_upper_bound(dep, float(fld.serving_distance[iy, ix]), HEX, 6)
+        expected[iy, ix] = fld.rfp_total[iy, ix] > bound * (1.0 + UPPER_BOUND_SLACK)
+    assert np.array_equal(flagged, expected)
+
+
 # -- empirical alpha ---------------------------------------------------------------
 
 
@@ -727,7 +748,7 @@ def test_empirical_alpha_matches_hypot_oracle():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     fld = compute_field(lattice, S1_DEP1, 2.0)
     ref = hypot_oracle(lattice, S1_DEP1, fld)
-    central = ref["serving_site"] == 0
+    central = (ref["serving_site"] == 0) & ~ref["excluded"]
     expected = ref["serving_distance"][central].mean() / 500.0
     assert empirical_alpha(lattice, 2.0) == pytest.approx(expected, rel=1e-15, abs=0)
 
@@ -736,6 +757,22 @@ def test_empirical_alpha_resolution_guard():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     with pytest.raises(ValueError):
         empirical_alpha(lattice, 5.01)
+
+
+@pytest.mark.parametrize("kind,resolution", [
+    (LayoutKind.HIGHWAY, 4.0),  # one pixel excluded, its centre on the site
+    (LayoutKind.SQUARE, 2.0),  # the wide-lattice benchmark's grid; one pixel excluded
+    (HEX, 5.0),  # validate's grid; no pixel excluded
+])
+def test_simulate_prints_the_empirical_alpha_that_validate_checks(kind, resolution):
+    """``simulate``'s printed alpha (``central_alpha`` over ``compute_field``'s
+    field) and ``empirical_alpha`` (its power-free sweep) are the same bits."""
+    dep = builtin_scenario("S1").dep1
+    lattice = generate_sites(kind, dep.d_max, 2)
+    fld = compute_field(lattice, dep, resolution)
+    printed = gridsim.central_alpha(fld.serving_site, fld.serving_distance, resolution, dep.d_max)
+    assert printed == float(fld.serving_distance[fld.central_cell].mean() / dep.d_max)
+    assert empirical_alpha(lattice, resolution) == printed
 
 
 # -- CSV export --------------------------------------------------------------------
