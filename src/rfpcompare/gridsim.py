@@ -20,10 +20,8 @@ from functools import cache, partial
 
 from ._record import record
 from .errors import NoTessellationError
-from .geometry import LayoutKind, _usable_cpus
+from .geometry import _BOUNDING_BOX, _SQRT3, LayoutKind, _usable_cpus
 from .propagation import Deployment, emitted_power, neighbor_charge, range_violations, refuse
-
-_SQRT3 = math.sqrt(3.0)
 
 
 @record
@@ -36,7 +34,7 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
-        if self.x_max < self.x_min or self.y_max < self.y_min:
+        if not (self.x_min <= self.x_max and self.y_min <= self.y_max):
             raise ValueError(f"degenerate region bounds: {self}")
 
 
@@ -50,7 +48,6 @@ class SiteLattice:
 
     kind: LayoutKind
     d_max: float
-    rings: int
     sites: np.ndarray
     ring_of: np.ndarray
 
@@ -58,11 +55,6 @@ class SiteLattice:
     def spacing(self) -> float:
         """Inter-site distance 2 * zeta * d_max."""
         return 2.0 * self.kind.zeta * self.d_max
-
-    @property
-    def n_first_ring(self) -> int:
-        import numpy as np
-        return int(np.count_nonzero(self.ring_of == 1))
 
 
 def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
@@ -108,18 +100,14 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
         )
     order = np.lexsort((np.arctan2(y, x) % (2 * math.pi), ring))
     sites = np.stack((x, y), axis=1)[order]
-    return SiteLattice(kind=kind, d_max=d_max, rings=rings, sites=sites, ring_of=ring[order])
+    return SiteLattice(kind=kind, d_max=d_max, sites=sites, ring_of=ring[order])
 
 
 def default_region(lattice: SiteLattice) -> Region:
     """Bounding box of the central cell expanded by 10 percent."""
-    d = lattice.d_max
-    if lattice.kind is LayoutKind.HIGHWAY:
-        return Region(-1.1 * d, 1.1 * d, 0.0, 0.0)
-    if lattice.kind is LayoutKind.SQUARE:
-        half = 1.1 * LayoutKind.SQUARE.zeta * d
-        return Region(-half, half, -half, half)
-    return Region(-1.1 * d, 1.1 * d, -1.1 * _SQRT3 / 2.0 * d, 1.1 * _SQRT3 / 2.0 * d)
+    (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[lattice.kind]
+    # Each bound times 1.1 first: 1.1 * d_max may overflow, and inf * 0.0 is NaN.
+    return Region(*(v * 1.1 * lattice.d_max for v in (x_lo, x_hi, y_lo, y_hi)))
 
 
 #: Largest grid that ``compute_field`` and ``empirical_alpha`` accept: four
@@ -322,7 +310,6 @@ class RfpField:
 
     lattice: SiteLattice
     resolution: float
-    region: Region
     xs: np.ndarray
     ys: np.ndarray
     serving_site: np.ndarray
@@ -380,7 +367,6 @@ def compute_field(
     return RfpField(
         lattice=lattice,
         resolution=resolution,
-        region=region,
         xs=xs,
         ys=ys,
         serving_site=serving_id,
@@ -396,8 +382,8 @@ def field_bands(field: RfpField) -> Iterator[RfpField]:
 
     A band is one kernel tile: whole rows, or a piece of one row where a row
     is wider than ``TILE_PIXELS``. Its arrays are views of the field's; its
-    lattice, resolution and region are the whole field's. A field without
-    pixels still gives a band (an empty one).
+    lattice and resolution are the whole field's. A field without pixels
+    still gives a band (an empty one).
     """
     height, width = _tile_shape(len(field.xs))
     for r0 in range(0, max(1, len(field.ys)), height):
@@ -407,7 +393,6 @@ def field_bands(field: RfpField) -> Iterator[RfpField]:
             yield RfpField(
                 lattice=field.lattice,
                 resolution=field.resolution,
-                region=field.region,
                 xs=field.xs[cols],
                 ys=field.ys[rows],
                 serving_site=field.serving_site[rows, cols],
@@ -422,19 +407,17 @@ def field_bands(field: RfpField) -> Iterator[RfpField]:
 UPPER_BOUND_SLACK = 1e-9
 
 
-def verify_upper_bound(
-    field: RfpField, dep: Deployment, layout: LayoutKind, n_i: int | None = None
-) -> np.ndarray:
+def verify_upper_bound(field: RfpField, dep: Deployment, layout: LayoutKind) -> np.ndarray:
     """Check the neighbor upper bound over the central cell; return the
     centres of the violating pixels as a (k, 2) array of (x, y) in meters.
 
     Every non-excluded central-cell pixel with serving distance at most
-    zeta * d_max is tested against the bound with ``n_i`` neighbor terms
-    (default: the lattice's first-ring site count). Up to 10 rings no
-    violation was found for gamma >= 2; for gamma < 2 the farther rings break
-    the bound (hexagonal, gamma = 1.8: from 6 rings on). Passing a
-    deliberately small ``n_i`` (or a single-ring lattice with n_i = 0) is the
-    negative control.
+    zeta * d_max is tested against the bound, which charges the layout's
+    ``layout.n_neighbors`` first-ring sites at zeta * d_max each
+    (``neighbor_charge``). Up to 10 rings no violation was found for
+    gamma >= 2; for gamma < 2 the farther rings break the bound (hexagonal,
+    gamma = 1.8: from 6 rings on). The tests' negative control patches
+    ``neighbor_charge`` to charge fewer neighbors.
     The serving term is the field's own ``rfp_serving``, so ``dep`` must be
     the deployment the field was computed for. The check runs band by band
     (``field_bands``); the centres come in row-major order.
@@ -450,11 +433,9 @@ def verify_upper_bound(
             f"deployment d_max {dep.d_max} does not match the lattice "
             f"({field.lattice.d_max})"
         )
-    if n_i is None:
-        n_i = field.lattice.n_first_ring
 
     limit = layout.zeta * dep.d_max
-    neighbor_term = dep.p_r_th * neighbor_charge(dep.gamma, layout, n_i)
+    neighbor_term = dep.p_r_th * neighbor_charge(dep.gamma, layout, layout.n_neighbors)
     centres = []
     for band in field_bands(field):
         checked = band.central_cell & (band.serving_distance <= limit)

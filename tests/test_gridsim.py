@@ -53,7 +53,6 @@ def single_site_lattice(kind: LayoutKind, d_max: float) -> SiteLattice:
     return SiteLattice(
         kind=kind,
         d_max=d_max,
-        rings=1,
         sites=np.array([[0.0, 0.0]]),
         ring_of=np.array([0]),
     )
@@ -168,20 +167,20 @@ def test_square_sites_three_by_three():
 def test_ring_structure_and_counts():
     hex2 = generate_sites(LayoutKind.HEXAGONAL, 500.0, 2)
     assert len(hex2.sites) == 19
-    assert hex2.n_first_ring == 6
+    assert int(np.count_nonzero(hex2.ring_of == 1)) == 6
     assert int(np.count_nonzero(hex2.ring_of == 2)) == 12
     sq2 = generate_sites(LayoutKind.SQUARE, 500.0, 2)
     assert len(sq2.sites) == 25
-    assert sq2.n_first_ring == 8
+    assert int(np.count_nonzero(sq2.ring_of == 1)) == 8
     hw2 = generate_sites(LayoutKind.HIGHWAY, 500.0, 2)
     assert len(hw2.sites) == 5
-    assert hw2.n_first_ring == 2
+    assert int(np.count_nonzero(hw2.ring_of == 1)) == 2
 
 
 def test_first_ring_matches_neighbor_count():
     for kind in TESSELLATING_KINDS:
         lattice = generate_sites(kind, 500.0, 3)
-        assert lattice.n_first_ring == kind.n_neighbors, kind
+        assert int(np.count_nonzero(lattice.ring_of == 1)) == kind.n_neighbors, kind
 
 
 def test_generate_sites_rejects_bad_inputs():
@@ -600,6 +599,71 @@ def test_highway_field_is_a_single_row():
     assert np.all(fld.ys == 0.0)
 
 
+
+@pytest.mark.parametrize("bound", range(4), ids=["x_min", "x_max", "y_min", "y_max"])
+def test_region_refuses_a_nan_bound(bound):
+    bounds = [0.0, 1.0, 0.0, 1.0]
+    bounds[bound] = math.nan
+    with pytest.raises(ValueError, match="degenerate region bounds"):
+        Region(*bounds)
+
+
+def former_default_region(kind: LayoutKind, d: float) -> Region:
+    """``default_region`` as it was written out by hand, layout by layout."""
+    if kind is LayoutKind.HIGHWAY:
+        return Region(-1.1 * d, 1.1 * d, 0.0, 0.0)
+    if kind is LayoutKind.SQUARE:
+        half = 1.1 * LayoutKind.SQUARE.zeta * d
+        return Region(-half, half, -half, half)
+    return Region(-1.1 * d, 1.1 * d, -1.1 * SQRT3 / 2.0 * d, 1.1 * SQRT3 / 2.0 * d)
+
+
+@pytest.mark.parametrize("d_max", [1e-300, 1e-3, 123.456, 500.0, 1e150, 1.7e308])
+@pytest.mark.parametrize("kind", TESSELLATING_KINDS, ids=lambda kind: kind.value)
+def test_default_region_keeps_the_former_bounds_bit_for_bit(kind, d_max):
+    """The cell's bounding box times 1.1 d_max gives the former bounds, the
+    sign of zero included (``float.hex`` tells 0.0 from -0.0)."""
+    def bits(region):
+        return [v.hex() for v in (region.x_min, region.x_max, region.y_min, region.y_max)]
+
+    region = default_region(single_site_lattice(kind, d_max))
+    assert bits(region) == bits(former_default_region(kind, d_max))
+
+
+@pytest.mark.parametrize("gamma", [2.1, 3.0])
+@pytest.mark.parametrize("kind", TESSELLATING_KINDS, ids=lambda kind: kind.value)
+def test_metamorphic_doubling_p_r_th_doubles_every_power(kind, gamma):
+    """Received power is linear in the threshold: twice p_r_th gives twice
+    each power, bit for bit (a factor of 2 is exact), and the same sites."""
+    lattice = generate_sites(kind, 500.0, 4)
+    once, twice = (compute_field(lattice, Deployment(500.0, p_r_th, gamma, 700.0), 10.0)
+                   for p_r_th in (1.0, 2.0))
+    assert np.array_equal(twice.serving_site, once.serving_site)
+    assert (2.0 * once.rfp_serving).tobytes() == twice.rfp_serving.tobytes()
+    assert (2.0 * once.rfp_total).tobytes() == twice.rfp_total.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [2.1, 3.0, 4.0])
+@pytest.mark.parametrize("kind", TESSELLATING_KINDS, ids=lambda kind: kind.value)
+def test_metamorphic_doubling_every_length_keeps_sites_and_totals(kind, gamma):
+    """Power depends on d / d_max only: twice d_max on a grid of twice the
+    resolution gives the same serving sites and totals. Every squared distance
+    scales by 4 exactly, so gamma = 3, whose terms take only correctly rounded
+    steps, keeps every bit. Other gammas take ``np.power``, which need not
+    round alike at d2 and 4 * d2: within 2e-15 (measured: at most 6.7e-16 at
+    gamma = 2.1; at gamma = 4 bit for bit with AVX-512, 3.3e-16 on numpy's
+    baseline SIMD path)."""
+    small, big = (compute_field(generate_sites(kind, d_max, 4),
+                                Deployment(d_max, 1.0, gamma, 700.0), d_max / 100.0)
+                  for d_max in (500.0, 1000.0))
+    assert np.array_equal(big.xs, 2.0 * small.xs) and np.array_equal(big.ys, 2.0 * small.ys)
+    assert np.array_equal(big.serving_site, small.serving_site)
+    assert np.array_equal(big.excluded, small.excluded)
+    if gamma == 3.0:
+        assert big.rfp_total.tobytes() == small.rfp_total.tobytes()
+    else:
+        np.testing.assert_allclose(big.rfp_total, small.rfp_total, rtol=2e-15, atol=0.0)
+
 # -- upper-bound verification ------------------------------------------------------
 
 
@@ -622,24 +686,35 @@ def test_upper_bound_holds_for_all_layouts():
         assert verify_upper_bound(fld, S1_DEP1, kind).shape == (0, 2), kind
 
 
-def test_upper_bound_negative_control_violates_everywhere():
+def charge_neighbors(monkeypatch, n_i: int) -> None:
+    """Make ``verify_upper_bound`` charge ``n_i`` neighbors instead of the
+    layout's own count: the negative control of the bound check."""
+    real = gridsim.neighbor_charge
+    monkeypatch.setattr(gridsim, "neighbor_charge",
+                        lambda gamma, layout, _n_i: real(gamma, layout, n_i))
+
+
+def test_upper_bound_negative_control_violates_everywhere(monkeypatch):
     """Assuming zero neighbors against a real lattice flags every checked pixel."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     fld = compute_field(lattice, S1_DEP1, resolution=25.0)
-    violations = verify_upper_bound(fld, S1_DEP1, HEX, n_i=0)
+    charge_neighbors(monkeypatch, 0)
+    violations = verify_upper_bound(fld, S1_DEP1, HEX)
     checked = fld.central_cell & (fld.serving_distance <= HEX.zeta * 500.0)
     assert len(violations) == int(checked.sum()) > 0
 
 
-def test_upper_bound_checks_only_the_validity_region():
+def test_upper_bound_checks_only_the_validity_region(monkeypatch):
     """Central-cell pixels beyond zeta * d_max are not part of the check."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 2)
     fld = compute_field(lattice, S1_DEP1, resolution=5.0)
     central = fld.central_cell
     beyond = central & (fld.serving_distance > HEX.zeta * 500.0)
     assert int(beyond.sum()) > 0  # hexagon corners exist beyond the inradius
-    # ... and even with n_i = 0 those pixels never appear among violations.
-    centres = verify_upper_bound(fld, S1_DEP1, HEX, n_i=0)
+    # ... and even with no neighbor charged those pixels never appear among
+    # violations.
+    charge_neighbors(monkeypatch, 0)
+    centres = verify_upper_bound(fld, S1_DEP1, HEX)
     assert len(centres) > 0
     ix = np.searchsorted(fld.xs, centres[:, 0])
     iy = np.searchsorted(fld.ys, centres[:, 1])
@@ -667,19 +742,22 @@ def whole_grid_bound_oracle(field, dep, layout, n_i):
     (LayoutKind.HIGHWAY, 1, 0.05),  # one row in three column bands
 ])
 @pytest.mark.parametrize("n_i", [0, 3, None])
-def test_banded_bound_check_matches_whole_grid_oracle(kind, rings, resolution, n_i):
+def test_banded_bound_check_matches_whole_grid_oracle(monkeypatch, kind, rings, resolution,
+                                                      n_i):
     lattice = generate_sites(kind, 500.0, rings)
     fld = compute_field(lattice, S1_DEP1, resolution)
     layout = kind
     bands = list(field_bands(fld))
     assert len(bands) > 1
-    centres = verify_upper_bound(fld, S1_DEP1, layout, n_i=n_i)
-    expected_n_i = lattice.n_first_ring if n_i is None else n_i
+    if n_i is not None:
+        charge_neighbors(monkeypatch, n_i)
+    centres = verify_upper_bound(fld, S1_DEP1, layout)
+    expected_n_i = int(np.count_nonzero(lattice.ring_of == 1)) if n_i is None else n_i
     expected = whole_grid_bound_oracle(fld, S1_DEP1, layout, expected_n_i)
     assert centres.dtype == np.float64
     assert np.array_equal(centres, expected)
     if n_i == 0:
-        per_band = [verify_upper_bound(band, S1_DEP1, layout, n_i=0) for band in bands]
+        per_band = [verify_upper_bound(band, S1_DEP1, layout) for band in bands]
         assert sum(1 for found in per_band if len(found)) > 1  # spread over several bands
         assert np.array_equal(np.concatenate(per_band), centres)
 
@@ -851,7 +929,6 @@ def synthetic_field(nx: int, ny: int, excluded_at: list[tuple[int, int]]) -> Rfp
     return RfpField(
         lattice=single_site_lattice(LayoutKind.SQUARE, 500.0),
         resolution=1.0,
-        region=Region(0.0, float(nx), 0.0, float(ny)),
         xs=(nx // 2 - np.arange(nx)) * -1.25,  # -0.0 at the middle
         ys=np.linspace(-3.3, 7.7, ny),
         serving_site=rng.integers(0, 441, shape),

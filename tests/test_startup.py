@@ -6,6 +6,7 @@ other only at module level."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -14,12 +15,6 @@ from pathlib import Path
 import pytest
 
 import rfpcompare
-import rfpcompare.cli
-import rfpcompare.comparison
-import rfpcompare.geometry
-import rfpcompare.gridsim
-import rfpcompare.scenarios
-import rfpcompare.selfcheck
 
 # Imports the package and the CLI, runs one command in-process, and prints
 # which of the modules it watches got loaded on the way.
@@ -80,34 +75,29 @@ def test_a_bare_interpreter_does_not_import_pathlib(tmp_path, child_env, args):
     assert report["typing"] is False
 
 
+def traced_targets() -> list[tuple[str, str, str]]:
+    """``TARGETS`` of ``benchmarks/tracing.py``, read from its source: the
+    (calling module, function name, span name) of each traced binding."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS":
+            return list(ast.literal_eval(node.value))
+    raise LookupError(f"{path} assigns no TARGETS")
+
+
 # The benchmark's traced mode wraps these functions by rebinding them in the
-# namespace that calls them (module, name, defining module). So the calling
-# modules must import them at module level, not inside a command body, or the
-# wrapper would be bypassed.
-CALLER_BINDINGS = [
-    (rfpcompare.cli, "generate_sites", rfpcompare.gridsim),
-    (rfpcompare.cli, "compute_field", rfpcompare.gridsim),
-    (rfpcompare.cli, "verify_upper_bound", rfpcompare.gridsim),
-    (rfpcompare.cli, "export_field_csv", rfpcompare.gridsim),
-    (rfpcompare.cli, "evaluate_pair", rfpcompare.comparison),
-    (rfpcompare.cli, "closed_form_delta", rfpcompare.comparison),
-    (rfpcompare.cli, "parse_scenario_file", rfpcompare.scenarios),
-    (rfpcompare.cli, "validate_scenario", rfpcompare.scenarios),
-    (rfpcompare.cli, "sweep_beta", rfpcompare.comparison),
-    (rfpcompare.cli, "run_validation", rfpcompare.selfcheck),
-    (rfpcompare.selfcheck, "verify_closed_forms", rfpcompare.comparison),
-    (rfpcompare.selfcheck, "estimate_alpha_monte_carlo", rfpcompare.geometry),
-    (rfpcompare.selfcheck, "generate_sites", rfpcompare.gridsim),
-    (rfpcompare.selfcheck, "compute_field", rfpcompare.gridsim),
-    (rfpcompare.selfcheck, "verify_upper_bound", rfpcompare.gridsim),
-    (rfpcompare.selfcheck, "empirical_alpha", rfpcompare.gridsim),
-]
+# namespace that calls them. So the calling modules must import them at module
+# level, not inside a command body, or the wrapper would be bypassed.
+CALLER_BINDINGS = [(caller, name) for caller, name, _ in traced_targets()]
 
 
-@pytest.mark.parametrize("caller,name,owner", CALLER_BINDINGS,
-                         ids=[f"{c.__name__}.{n}" for c, n, _ in CALLER_BINDINGS])
-def test_layer_functions_stay_bound_at_module_level(caller, name, owner):
-    assert getattr(caller, name) is getattr(owner, name)
+@pytest.mark.parametrize("caller,name", CALLER_BINDINGS,
+                         ids=[f"{caller}.{name}" for caller, name in CALLER_BINDINGS])
+def test_layer_functions_stay_bound_at_module_level(caller, name):
+    """The caller's binding is the function its defining module holds."""
+    fn = getattr(importlib.import_module(caller), name)
+    assert fn.__module__.startswith("rfpcompare.")
+    assert getattr(sys.modules[fn.__module__], name) is fn
 
 
 def test_no_function_imports_a_sibling_module():
