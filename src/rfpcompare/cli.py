@@ -13,36 +13,67 @@ scenario is not a built-in.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import math
 import os
 import sys
 import warnings
 from collections.abc import Iterable
 
-from . import __version__
-from .comparison import DeploymentPair, Metric, closed_form_delta, evaluate_pair, sweep_beta
-from .errors import PlausibilityWarning, RfpError
-from .geometry import LayoutKind, TESSELLATING_KINDS
-from .gridsim import (
-    central_alpha,
-    compute_field,
-    export_field_csv,
-    field_bands,
-    generate_sites,
-    verify_upper_bound,
-)
-from .propagation import NeighborMode, in_deployment
-from .scenarios import (
-    Scenario,
-    builtin_scenario,
-    builtin_scenario_ids,
-    parse_scenario_file,
-    validate_scenario,
-)
-from .selfcheck import DEFAULT_MC_SAMPLES, DEFAULT_SEED, run_validation
+from . import DEFAULT_MC_SAMPLES, DEFAULT_SEED, __version__
 
-_TESSELLATING_CHOICE = [k.value for k in TESSELLATING_KINDS]
+#: The library names that the commands call, by the module that defines them.
+#: Each command binds the modules it needs with ``_load`` before anything
+#: else, so a process imports only those: ``--version`` none, ``compare`` and
+#: ``sweep`` not the field simulator. Names are bound here, in the module's
+#: namespace, because the benchmark's tracer and the tests replace them there.
+_LIBRARY = {
+    "errors": ("PlausibilityWarning", "RfpError"),
+    "geometry": ("LayoutKind", "TESSELLATING_KINDS"),
+    "propagation": ("NeighborMode", "in_deployment"),
+    "scenarios": ("Scenario", "builtin_scenario", "builtin_scenario_ids", "parse_scenario_file",
+                  "validate_scenario"),
+    "comparison": ("DeploymentPair", "Metric", "closed_form_delta", "evaluate_pair", "sweep_beta"),
+    "gridsim": ("central_alpha", "compute_field", "export_field_csv", "field_bands",
+                "generate_sites", "verify_upper_bound"),
+    "selfcheck": ("run_validation",),
+}
+#: What every scenario command needs: loading and checking a scenario.
+_SCENARIO_MODULES = ("errors", "geometry", "propagation", "scenarios")
+#: The modules ``_load`` has bound.
+_loaded: set[str] = set()
+
+
+def _load(*modules: str) -> None:
+    """Import each module of ``_LIBRARY`` named, once, and bind its names here.
+
+    A name that is bound already, such as a wrapper put in place before the
+    first command, is kept.
+    """
+    for module in modules:
+        if module not in _loaded:
+            library = importlib.import_module(f".{module}", __package__)
+            for name in _LIBRARY[module]:
+                globals().setdefault(name, getattr(library, name))
+            _loaded.add(module)
+
+
+def __getattr__(name: str):
+    """Bind a name of ``_LIBRARY`` on its first lookup from outside.
+
+    A name whose module is loaded already was deleted on purpose, and stays
+    missing.
+    """
+    for module, names in _LIBRARY.items():
+        if name in names and module not in _loaded:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+#: The layouts with a site lattice, and every layout (``LayoutKind``'s values).
+_TESSELLATING_CHOICE = ("highway", "square", "hexagonal")
+_LAYOUT_CHOICE = (*_TESSELLATING_CHOICE, "circle")
 _NEIGHBOR_CHOICE = ["on", "off"]
 #: Appended to the help of an option whose default the help shows.
 _DEFAULT = " [default: %(default)s]"
@@ -136,6 +167,7 @@ def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list
     ``null`` in JSON.
     """
     if fmt == "json":
+        import json
         _emit([json.dumps(_pin(objects), indent=2) + "\n"], out)
         return
     digits = 9 if fmt == "csv" else 4
@@ -173,6 +205,7 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     received-power ratios at average and fixed distance, next to the
     per-scenario closed form and their relative difference.
     """
+    _load(*_SCENARIO_MODULES, "comparison")
     scenario = _load_checked_scenario(scenario_source)
 
     if layout_name:
@@ -226,6 +259,7 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
 def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_step,
           fmt, out, show_db):
     """Sweep beta1 and report the fixed-distance ratio along the grid."""
+    _load(*_SCENARIO_MODULES, "comparison")
     scenario = _load_checked_scenario(scenario_source)
     kind = LayoutKind(layout_name)
     mode = NeighborMode.ADJACENT if neighbors == "on" else NeighborMode.NONE
@@ -254,6 +288,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
     hexagonal lattice breaks the bound from 6 rings on. Violations get a
     warning on stderr; the exit code stays 0.
     """
+    _load(*_SCENARIO_MODULES, "gridsim")
     # Unvalidated: report the constructors' warnings without a source location.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PlausibilityWarning)
@@ -290,6 +325,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
 
 def validate(seed, samples):
     """Run the self-validation suite and report per-check status."""
+    _load("selfcheck")
     if seed < 0:
         _fail(f"--seed must be >= 0, got {seed}")
     try:
@@ -359,8 +395,7 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
                      help="Scenario supplying the deployment parameters." + _DEFAULT)
     sub.add_argument("--deployment", dest="which", choices=["1", "2"], default="1",
                      help="Which deployment of the pair to simulate." + _DEFAULT)
-    sub.add_argument("--layout", dest="layout_name", choices=[k.value for k in LayoutKind],
-                     required=True)
+    sub.add_argument("--layout", dest="layout_name", choices=_LAYOUT_CHOICE, required=True)
     sub.add_argument("--rings", type=int, default=2, help=_DEFAULT)
     sub.add_argument("--resolution", type=float, default=5.0,
                      help="Pixel size in meters." + _DEFAULT)

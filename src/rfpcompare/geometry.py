@@ -182,6 +182,8 @@ def estimate_alpha_monte_carlo(
     kind = LayoutKind(kind)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     highway = kind is LayoutKind.HIGHWAY
     (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
     rng = np.random.default_rng(seed)

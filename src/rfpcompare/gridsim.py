@@ -149,9 +149,12 @@ def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarr
     """Pixel-center coordinates; pixels are resolution-sized, centers sampled.
 
     Grids above ``MAX_FIELD_PIXELS`` are refused from the axis lengths, before
-    anything is allocated.
+    anything is allocated. A non-finite bound is refused by name.
     """
     import numpy as np
+    for name in ("x_min", "x_max", "y_min", "y_max"):
+        if not math.isfinite(bound := getattr(region, name)):
+            raise ValueError(f"region bound {name} must be finite, got {bound}")
     strip = region.y_min == region.y_max
     nx_f = (region.x_max - region.x_min) / resolution + 1e-9
     ny_f = 1.0 if strip else (region.y_max - region.y_min) / resolution + 1e-9
@@ -466,9 +469,9 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
     converges to the layout's closed-form alpha as the resolution shrinks.
     """
     import numpy as np
-    if not resolution <= lattice.d_max / 100.0:
+    if not 0 < resolution <= lattice.d_max / 100.0:
         raise ValueError(
-            f"resolution must be <= d_max/100 = {lattice.d_max / 100.0}, got {resolution}"
+            f"resolution must be > 0 and <= d_max/100 = {lattice.d_max / 100.0}, got {resolution}"
         )
     xs, ys = _pixel_axes(default_region(lattice), resolution)
     serving_id, min_d2, _ = _site_sweep(lattice, xs, ys)

@@ -5,14 +5,12 @@ other. Everything is seeded, so repeated runs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+from . import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from ._record import record
 from .comparison import CLOSED_FORM_RTOL, verify_closed_forms
 from .geometry import LayoutKind, TESSELLATING_KINDS, estimate_alpha_monte_carlo
 from .gridsim import compute_field, empirical_alpha, generate_sites, verify_upper_bound
 from .propagation import Deployment, NeighborMode, emitted_power, received_power, rfp_fixed
-
-DEFAULT_SEED = 58121
-DEFAULT_MC_SAMPLES = 2_000_000
 
 #: Absolute floor for the Monte Carlo alpha tolerance; below the floor the
 #: tolerance follows the sample's own standard error (5 sigma), so the check

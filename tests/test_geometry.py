@@ -609,6 +609,11 @@ def test_monte_carlo_rejects_tiny_sample_counts():
         estimate_alpha_monte_carlo(LayoutKind.SQUARE, 999, 1)
 
 
+def test_monte_carlo_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        estimate_alpha_monte_carlo(LayoutKind.SQUARE, 1000, -1)
+
+
 def test_monte_carlo_stderr_scale_is_sane():
     """Standard error is close to the analytic std/sqrt(n) for the disc."""
     n = 10**6

@@ -608,6 +608,20 @@ def test_region_refuses_a_nan_bound(bound):
         Region(*bounds)
 
 
+@pytest.mark.parametrize("bounds,name", [
+    ((math.inf, math.inf, 0.0, 0.0), "x_min"),
+    ((-math.inf, -math.inf, 0.0, 0.0), "x_min"),
+    ((0.0, 100.0, math.inf, math.inf), "y_min"),
+], ids=["inf-strip", "minus-inf-strip", "row-at-inf"])
+def test_compute_field_refuses_a_non_finite_region_bound(bounds, name):
+    """``Region`` accepts infinite bounds, but no pixel axis can be laid on
+    one: the field names the bound instead of failing on NaN or giving a row
+    of pixels at y = inf."""
+    lattice = generate_sites(LayoutKind.HIGHWAY, 500.0, 1)
+    with pytest.raises(ValueError, match=f"region bound {name} must be finite"):
+        compute_field(lattice, S1_DEP1, 5.0, region=Region(*bounds))
+
+
 def former_default_region(kind: LayoutKind, d: float) -> Region:
     """``default_region`` as it was written out by hand, layout by layout."""
     if kind is LayoutKind.HIGHWAY:
@@ -663,6 +677,38 @@ def test_metamorphic_doubling_every_length_keeps_sites_and_totals(kind, gamma):
         assert big.rfp_total.tobytes() == small.rfp_total.tobytes()
     else:
         np.testing.assert_allclose(big.rfp_total, small.rfp_total, rtol=2e-15, atol=0.0)
+
+
+MIRROR_FLIPS = {
+    "x": lambda a: a[:, ::-1],
+    "y": lambda a: a[::-1, :],
+    "transpose": lambda a: a.T,
+}
+
+
+@pytest.mark.parametrize("dep", [Deployment(100.0, 1.0, 3.0, 700.0), builtin_scenario("S2").dep2],
+                         ids=["S1-dep1-gamma3", "S2-dep2-gamma2.1"])
+@pytest.mark.parametrize("kind,flip", [
+    (LayoutKind.SQUARE, "x"), (LayoutKind.SQUARE, "y"), (LayoutKind.SQUARE, "transpose"),
+    (HEX, "x"), (HEX, "y"), (LayoutKind.HIGHWAY, "x"),
+], ids=lambda v: getattr(v, "value", v))
+def test_metamorphic_mirror_symmetry_of_the_field(kind, flip, dep):
+    """Each lattice is symmetric under these flips, and so is a region
+    centred on the site and a whole number of pixels wide (the default region
+    is neither): the field read in mirror order is the same field. Serving
+    distances and exclusions keep every bit. Serving ids are not compared: a
+    flip maps each site to another id (though here every pixel lies in the
+    central cell). Totals sum the sites in another order: within 4e-15
+    (measured: at most 1.3e-15, also on numpy's baseline SIMD path)."""
+    region = (Region(-60.0, 60.0, 0.0, 0.0) if kind is LayoutKind.HIGHWAY
+              else Region(-60.0, 60.0, -60.0, 60.0))
+    fld = compute_field(generate_sites(kind, 100.0, 4), dep, 2.0, region)
+    assert np.array_equal(-fld.xs[::-1], fld.xs) and np.array_equal(-fld.ys[::-1], fld.ys)
+    mirror = MIRROR_FLIPS[flip]
+    assert mirror(fld.serving_distance).tobytes() == fld.serving_distance.tobytes()
+    assert np.array_equal(mirror(fld.excluded), fld.excluded)
+    np.testing.assert_allclose(mirror(fld.rfp_total), fld.rfp_total, rtol=4e-15, atol=0.0)
+
 
 # -- upper-bound verification ------------------------------------------------------
 
@@ -835,6 +881,15 @@ def test_empirical_alpha_resolution_guard():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
     with pytest.raises(ValueError):
         empirical_alpha(lattice, 5.01)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, -1e-300])
+def test_empirical_alpha_refuses_a_resolution_not_above_zero(resolution):
+    """Refused by name, like ``compute_field``, not by a division by zero or a
+    pixel count computed from a negative size."""
+    lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
+    with pytest.raises(ValueError, match=r"resolution must be > 0 and <= d_max/100 = 5\.0"):
+        empirical_alpha(lattice, resolution)
 
 
 @pytest.mark.parametrize("kind,resolution", [
