@@ -22,14 +22,16 @@ _EXPORTS = {
                    "Metric", "closed_form_delta", "delta_avg", "delta_emitted", "delta_fixed",
                    "evaluate_pair", "pair_for", "sweep_beta", "verify_closed_forms"),
     "errors": ("BetaOutOfRangeError", "BoundNotValidError", "NoTessellationError",
-               "PlausibilityWarning", "RfpError", "ScenarioError", "ScenarioSchemaError",
-               "ScenarioSyntaxError", "ScenarioValidationError", "SingularDistanceError",
-               "UnsupportedParameterChangeError"),
+               "OutOfRangeError", "PlausibilityWarning", "RfpError", "ScenarioError",
+               "ScenarioSchemaError", "ScenarioSyntaxError", "ScenarioValidationError",
+               "SingularDistanceError", "UnsupportedParameterChangeError"),
     "geometry": ("LayoutKind", "TESSELLATING_KINDS", "cell_contains", "estimate_alpha_monte_carlo"),
-    "gridsim": ("Region", "RfpField", "SiteLattice", "compute_field", "default_region",
-                "empirical_alpha", "export_field_csv", "generate_sites", "verify_upper_bound"),
+    "gridsim": ("Region", "RfpField", "SiteLattice", "central_alpha", "compute_field",
+                "default_region", "empirical_alpha", "export_field_csv", "field_bands",
+                "generate_sites", "verify_upper_bound"),
     "propagation": ("Deployment", "GAMMA_PLAUSIBLE_RANGE", "NeighborMode", "Violation",
-                    "emitted_power", "received_power", "rfp_avg", "rfp_fixed", "rfp_upper_bound"),
+                    "emitted_power", "in_deployment", "received_power", "rfp_avg", "rfp_fixed",
+                    "rfp_upper_bound"),
     "scenarios": ("DEFAULT_BETA1", "Scenario", "builtin_scenario", "builtin_scenario_ids",
                   "parse_scenario_file", "validate_scenario"),
     "selfcheck": ("CheckResult", "run_validation"),

@@ -1,7 +1,8 @@
 """Command-line frontend: comparison runs, beta sweeps, lattice simulation,
 and the self-validation suite.
 
-Exit codes: 0 success, 1 runtime or check failure, 2 usage/validation error.
+Exit codes: 0 success, 1 runtime or check failure (an exception that is not a
+refusal is a bug: a traceback), 2 usage error or refused input (an ``RfpError``).
 Results go to standard output (or ``--out``), diagnostics to the error stream.
 ``compare`` and ``sweep`` render their records through one emitter: the table
 shows numbers to 4 significant digits, CSV and JSON to 9. Ratios are linear;
@@ -20,24 +21,8 @@ import sys
 import warnings
 from collections.abc import Iterable
 
-from . import DEFAULT_MC_SAMPLES, DEFAULT_SEED, __version__
+from . import _EXPORTS, _MODULE_OF, DEFAULT_MC_SAMPLES, DEFAULT_SEED, __version__
 
-#: The library names that the commands call, by the module that defines them.
-#: Each command binds the modules it needs with ``_load`` before anything
-#: else, so a process imports only those: ``--version`` none, ``compare`` and
-#: ``sweep`` not the field simulator. Names are bound here, in the module's
-#: namespace, because the benchmark's tracer and the tests replace them there.
-_LIBRARY = {
-    "errors": ("PlausibilityWarning", "RfpError"),
-    "geometry": ("LayoutKind", "TESSELLATING_KINDS"),
-    "propagation": ("NeighborMode", "in_deployment"),
-    "scenarios": ("Scenario", "builtin_scenario", "builtin_scenario_ids", "parse_scenario_file",
-                  "validate_scenario"),
-    "comparison": ("DeploymentPair", "Metric", "closed_form_delta", "evaluate_pair", "sweep_beta"),
-    "gridsim": ("central_alpha", "compute_field", "export_field_csv", "field_bands",
-                "generate_sites", "verify_upper_bound"),
-    "selfcheck": ("run_validation",),
-}
 #: What every scenario command needs: loading and checking a scenario.
 _SCENARIO_MODULES = ("errors", "geometry", "propagation", "scenarios")
 #: The modules ``_load`` has bound.
@@ -45,30 +30,29 @@ _loaded: set[str] = set()
 
 
 def _load(*modules: str) -> None:
-    """Import each module of ``_LIBRARY`` named, once, and bind its names here.
-
-    A name that is bound already, such as a wrapper put in place before the
-    first command, is kept.
-    """
+    """Import each module named, once, and bind its names of the package root's
+    table here, where the benchmark's tracer and the tests replace them. A name
+    bound already, such as a wrapper put in place before the first command, is
+    kept."""
     for module in modules:
         if module not in _loaded:
             library = importlib.import_module(f".{module}", __package__)
-            for name in _LIBRARY[module]:
+            for name in _EXPORTS[module]:
                 globals().setdefault(name, getattr(library, name))
             _loaded.add(module)
 
 
 def __getattr__(name: str):
-    """Bind a name of ``_LIBRARY`` on its first lookup from outside.
+    """Bind a name of the package root's table on its first lookup from outside.
 
     A name whose module is loaded already was deleted on purpose, and stays
     missing.
     """
-    for module, names in _LIBRARY.items():
-        if name in names and module not in _loaded:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None or module in _loaded:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
 
 
 #: The layouts with a site lattice, and every layout (``LayoutKind``'s values).
@@ -228,29 +212,25 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     headers += [f"closed_{m.value}" for m in Metric] + ["max_rel_diff"]
 
     rows, objects = [], []
-    try:
-        for layout in layouts:
-            for mode in modes:
-                if mode is NeighborMode.ADJACENT and not layout.tessellates:
-                    continue
-                pair = DeploymentPair(scenario.dep1, scenario.dep2, layout, beta1, mode)
-                result = evaluate_pair(pair, scenario_id=scenario.id)
-                ratios = [result.get(m) for m in Metric]
-                closed = rel_diff = None
-                if has_closed_form:
-                    closed = [closed_form_delta(scenario.id, m, layout, mode, beta1)
-                              for m in Metric]
-                    rel_diff = max(abs(c - r) / abs(r) for c, r in zip(closed, ratios))
-                if show_db:
-                    ratios += [_db(r) for r in ratios]
-                row = [scenario.id, layout.value, mode.value, *ratios]
-                obj = dict(zip(headers, row))
-                obj["closed_form"] = None if closed is None else dict(zip(ratio_keys, closed))
-                obj["relative_difference"] = rel_diff
-                rows.append(row + (closed or [None] * 3) + [rel_diff])
-                objects.append(obj)
-    except (RfpError, OverflowError) as exc:
-        _fail(str(exc))
+    for layout in layouts:
+        for mode in modes:
+            if mode is NeighborMode.ADJACENT and not layout.tessellates:
+                continue
+            pair = DeploymentPair(scenario.dep1, scenario.dep2, layout, beta1, mode)
+            result = evaluate_pair(pair, scenario_id=scenario.id)
+            ratios = [result.get(m) for m in Metric]
+            closed = rel_diff = None
+            if has_closed_form:
+                closed = [closed_form_delta(scenario.id, m, layout, mode, beta1) for m in Metric]
+                rel_diff = max(abs(c - r) / abs(r) for c, r in zip(closed, ratios))
+            if show_db:
+                ratios += [_db(r) for r in ratios]
+            row = [scenario.id, layout.value, mode.value, *ratios]
+            obj = dict(zip(headers, row))
+            obj["closed_form"] = None if closed is None else dict(zip(ratio_keys, closed))
+            obj["relative_difference"] = rel_diff
+            rows.append(row + (closed or [None] * 3) + [rel_diff])
+            objects.append(obj)
     if not rows:
         _fail("nothing to evaluate (empty layout/mode selection)")
     _emit_records(fmt, out, headers, rows, objects)
@@ -263,10 +243,7 @@ def sweep(scenario_source, layout_name, neighbors, beta_start, beta_end, beta_st
     scenario = _load_checked_scenario(scenario_source)
     kind = LayoutKind(layout_name)
     mode = NeighborMode.ADJACENT if neighbors == "on" else NeighborMode.NONE
-    try:
-        series = sweep_beta(scenario, kind, mode, beta_start, beta_end, beta_step)
-    except (RfpError, ValueError, OverflowError) as exc:
-        _fail(str(exc))
+    series = sweep_beta(scenario, kind, mode, beta_start, beta_end, beta_step)
 
     headers = ["beta1", "delta_pr_fx"] + (["delta_pr_fx_db"] if show_db else [])
     rows = [[b, v] + ([_db(v)] if show_db else []) for b, v in series]
@@ -303,8 +280,6 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
         violations = len(verify_upper_bound(fld, dep, kind))
         # Refuses a grid without central pixels, where "0 violations" is vacuous.
         emp_alpha = central_alpha(fld.serving_site, fld.serving_distance, resolution, dep.d_max)
-    except (RfpError, ValueError) as exc:
-        _fail(str(exc))
     except OverflowError as exc:
         _fail(str(in_deployment(which, exc)))
 
@@ -326,12 +301,7 @@ def simulate(scenario_source, which, layout_name, rings, resolution, out):
 def validate(seed, samples):
     """Run the self-validation suite and report per-check status."""
     _load("selfcheck")
-    if seed < 0:
-        _fail(f"--seed must be >= 0, got {seed}")
-    try:
-        results = run_validation(seed=seed, mc_samples=samples)
-    except ValueError as exc:
-        _fail(str(exc))
+    results = run_validation(seed=seed, mc_samples=samples)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.family:<12} {r.name:<32} {r.detail}")
@@ -408,7 +378,12 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
                      help="Monte Carlo sample count for the alpha checks." + _DEFAULT)
 
     args = vars(parser.parse_args(argv))
-    args.pop("run")(**args)
+    run = args.pop("run")
+    _load("errors")  # after parsing: --version exits there, loading no library module
+    try:
+        run(**args)
+    except (RfpError, OverflowError) as exc:
+        _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import record
+from .errors import OutOfRangeError
 from .geometry import LayoutKind, TESSELLATING_KINDS
 from .propagation import (Deployment, NeighborMode, _bracket, _power, in_deployment,
                           neighbor_count, range_violations, refuse)
@@ -296,15 +297,15 @@ def sweep_beta(
     ``MAX_SWEEP_POINTS`` points is refused before it is built.
     """
     if not beta_step > 0:
-        raise ValueError(f"beta_step must be > 0, got {beta_step}")
+        raise OutOfRangeError(f"beta_step must be > 0, got {beta_step}")
     if not 0 < beta_start <= beta_end:
-        raise ValueError(
+        raise OutOfRangeError(
             f"need 0 < beta_start <= beta_end, got [{beta_start}, {beta_end}]"
         )
     # Checked as a float before int(): a subnormal step gives an infinite count.
     n_steps = (beta_end - beta_start) / beta_step + 0.5
     if not n_steps < MAX_SWEEP_POINTS:
-        raise ValueError(
+        raise OutOfRangeError(
             f"beta grid [{beta_start:g}, {beta_end:g}] in steps of {beta_step:g} needs "
             f"about {n_steps + 0.5:.3g} points, over the point budget "
             f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"

@@ -7,6 +7,11 @@ class RfpError(Exception):
     """Base class for all package-specific errors."""
 
 
+class OutOfRangeError(RfpError, ValueError):
+    """Raised when an input value lies outside the range its parameter accepts,
+    such as a non-finite field or a grid over its budget. Also a ValueError."""
+
+
 class NoTessellationError(RfpError):
     """Raised when a tessellation property (zeta, neighbor count, site lattice)
     is requested for the circle layout, which does not tile the plane."""

@@ -15,10 +15,11 @@ centered on the site. Conventions, fixed once so every module agrees:
 from __future__ import annotations
 
 import math
+import operator
 import os
 from enum import Enum
 
-from .errors import NoTessellationError
+from .errors import NoTessellationError, OutOfRangeError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -152,6 +153,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; a numpy integer passes, a float (NaN too) is refused
+    by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{name} must be an integer, got {value}") from None
+
+
 def estimate_alpha_monte_carlo(
     kind: LayoutKind, n_samples: int, seed: int
 ) -> tuple[float, float]:
@@ -180,10 +190,10 @@ def estimate_alpha_monte_carlo(
 
     import numpy as np
     kind = LayoutKind(kind)
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if _count("n_samples", n_samples) < 1000:
+        raise OutOfRangeError(f"n_samples must be >= 1000, got {n_samples}")
+    if _count("seed", seed) < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     highway = kind is LayoutKind.HIGHWAY
     (x_lo, x_hi), (y_lo, y_hi) = _BOUNDING_BOX[kind]
     rng = np.random.default_rng(seed)

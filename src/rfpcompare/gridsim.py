@@ -19,8 +19,8 @@ from collections.abc import Iterator
 from functools import cache, partial
 
 from ._record import record
-from .errors import NoTessellationError
-from .geometry import _BOUNDING_BOX, _SQRT3, LayoutKind, _usable_cpus
+from .errors import NoTessellationError, OutOfRangeError
+from .geometry import _BOUNDING_BOX, _SQRT3, LayoutKind, _count, _usable_cpus
 from .propagation import Deployment, emitted_power, neighbor_charge, range_violations, refuse
 
 
@@ -35,7 +35,7 @@ class Region:
 
     def __post_init__(self) -> None:
         if not (self.x_min <= self.x_max and self.y_min <= self.y_max):
-            raise ValueError(f"degenerate region bounds: {self}")
+            raise OutOfRangeError(f"degenerate region bounds: {self}")
 
 
 @record(eq=False)
@@ -67,15 +67,15 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
 
     Sites are ordered by ring (the Chebyshev index for square, the axial
     distance for hexagonal), then by the angle ``atan2(y, x) % (2 pi)``. A
-    ``d_max`` that puts any site outside the float range raises ``ValueError``.
+    ``d_max`` that puts any site outside the float range raises ``OutOfRangeError``.
     """
     import numpy as np
     kind = LayoutKind(kind)
     if not kind.tessellates:
         raise NoTessellationError("the circle layout has no site lattice")
     refuse(range_violations(fields=[("d_max", d_max)]))
-    if not 1 <= rings <= 10:
-        raise ValueError(f"rings must be in [1, 10], got {rings}")
+    if not 1 <= _count("rings", rings) <= 10:
+        raise OutOfRangeError(f"rings must be in [1, 10], got {rings}")
 
     s = 2.0 * kind.zeta * d_max
     k = np.arange(-rings, rings + 1)
@@ -94,7 +94,7 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
                 i, j, ring = i[keep], j[keep], ring[keep]
                 x, y = i * (s * _SQRT3 / 2.0), i * (s / 2.0) + j * s
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError(
+        raise OutOfRangeError(
             f"d_max {d_max:.9g} m with {rings} rings puts {kind.value} sites past "
             f"the largest float, {sys.float_info.max:.6g} m"
         )
@@ -154,7 +154,7 @@ def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarr
     import numpy as np
     for name in ("x_min", "x_max", "y_min", "y_max"):
         if not math.isfinite(bound := getattr(region, name)):
-            raise ValueError(f"region bound {name} must be finite, got {bound}")
+            raise OutOfRangeError(f"region bound {name} must be finite, got {bound}")
     strip = region.y_min == region.y_max
     nx_f = (region.x_max - region.x_min) / resolution + 1e-9
     ny_f = 1.0 if strip else (region.y_max - region.y_min) / resolution + 1e-9
@@ -162,7 +162,7 @@ def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarr
     # and one axis longer than the budget is refused anyway.
     nx, ny = (math.floor(min(n, MAX_FIELD_PIXELS + 1)) for n in (nx_f, ny_f))
     if nx * ny > MAX_FIELD_PIXELS:
-        raise ValueError(
+        raise OutOfRangeError(
             f"resolution {resolution:g} m needs about {nx_f * ny_f:.3g} pixels, over "
             f"the pixel budget MAX_FIELD_PIXELS = {MAX_FIELD_PIXELS}"
         )
@@ -347,11 +347,11 @@ def compute_field(
     The total sums the contribution of every lattice site; the serving site is
     the nearest one. Deterministic and independent of any pixel partitioning
     (pure per-pixel arithmetic). Grids over ``MAX_FIELD_PIXELS`` raise
-    ``ValueError``; an empty region gives an empty field.
+    ``OutOfRangeError``; an empty region gives an empty field.
     """
     import numpy as np
     if not 0 < resolution < math.inf:
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+        raise OutOfRangeError(f"resolution must be finite and > 0, got {resolution}")
     if region is None:
         region = default_region(lattice)
     xs, ys = _pixel_axes(region, resolution)
@@ -452,12 +452,12 @@ def central_alpha(serving_site: np.ndarray, serving_distance: np.ndarray,
                   resolution: float, d_max: float) -> float:
     """The empirical alpha: the mean serving distance over d_max of the pixels
     served by site 0, less those within half a ``resolution`` of their site
-    (``RfpField.central_cell``). Without such a pixel, raises ``ValueError``."""
+    (``RfpField.central_cell``). Without such a pixel, raises ``OutOfRangeError``."""
     import numpy as np
     excluded = serving_distance < resolution / 2.0
     central = (serving_site == 0) & ~excluded
     if not central.any():
-        raise ValueError(
+        raise OutOfRangeError(
             f"resolution {resolution:.9g} m leaves no usable pixel in the central cell "
             f"(pixels: {serving_site.size}, excluded: {np.count_nonzero(excluded)})"
         )
@@ -470,7 +470,7 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
     """
     import numpy as np
     if not 0 < resolution <= lattice.d_max / 100.0:
-        raise ValueError(
+        raise OutOfRangeError(
             f"resolution must be > 0 and <= d_max/100 = {lattice.d_max / 100.0}, got {resolution}"
         )
     xs, ys = _pixel_axes(default_region(lattice), resolution)

@@ -19,11 +19,12 @@ from .errors import (
     BetaOutOfRangeError,
     BoundNotValidError,
     NoTessellationError,
+    OutOfRangeError,
     PlausibilityWarning,
     SingularDistanceError,
     UnsupportedParameterChangeError,
 )
-from .geometry import LayoutKind
+from .geometry import LayoutKind, _count
 
 #: Plausible range for the distance path-loss exponent (sub-6 GHz, <= 500 m).
 GAMMA_PLAUSIBLE_RANGE = (1.5, 6.5)
@@ -109,7 +110,7 @@ def range_violations(
 
 
 #: The exception that refuses each error code outside a scenario document.
-_REFUSALS = {"non_finite": ValueError, "out_of_range": ValueError,
+_REFUSALS = {"non_finite": OutOfRangeError, "out_of_range": OutOfRangeError,
              "beta_out_of_range": BetaOutOfRangeError, "no_tessellation": NoTessellationError,
              "unsupported_parameter_change": UnsupportedParameterChangeError}
 
@@ -209,8 +210,8 @@ def rfp_upper_bound(
             f"serving_distance={serving_distance} outside the bound's validity "
             f"region (0, {limit}]"
         )
-    if n_i < 0:
-        raise ValueError(f"n_i must be >= 0, got {n_i}")
+    if _count("n_i", n_i) < 0:
+        raise OutOfRangeError(f"n_i must be >= 0, got {n_i}")
     return dep.p_r_th * _bracket(serving_distance / dep.d_max, dep.gamma, layout, n_i)
 
 

@@ -16,6 +16,7 @@ import rfpcompare.gridsim as gridsim
 from rfpcompare import (
     LayoutKind,
     builtin_scenario,
+    cli,
     compute_field,
     generate_sites,
     run_validation,
@@ -600,7 +601,7 @@ def test_validate_refuses_a_negative_seed():
     """numpy's own refusal, `expected non-negative integer`, named no option."""
     result = invoke("validate", "--seed", "-1", "--samples", "1000")
     assert result.exit_code == 2
-    assert result.stderr == "error: --seed must be >= 0, got -1\n"
+    assert result.stderr == "error: seed must be >= 0, got -1\n"
     assert result.stdout == ""
 
 
@@ -629,6 +630,28 @@ def test_run_validation_alpha_reference_negative_control(monkeypatch):
     results = run_validation(mc_samples=100_000)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["monte-carlo-alpha-square"]
+
+
+# -- exit codes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,args", [
+    ("compute_field", ["simulate", "--layout", "hexagonal", "--resolution", "25"]),
+    ("sweep_beta", ["sweep", "--scenario", "S5", "--layout", "hexagonal", "--beta-start", "0.05",
+                    "--beta-end", "0.1", "--beta-step", "0.01"]),
+    ("run_validation", ["validate", "--samples", "1000"]),
+])
+def test_a_value_error_that_is_no_refusal_is_not_a_usage_error(monkeypatch, tmp_path, name, args):
+    """Only a refusal (an ``RfpError``) becomes an ``error: `` line and exit 2.
+    Any other ``ValueError`` is a bug: it leaves ``main`` as it was raised, so
+    the console script prints its traceback and exits 1."""
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="^boom$"):
+        cli.main(args)
 
 
 # -- determinism ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from rfpcompare import (
@@ -17,7 +18,9 @@ from rfpcompare import (
     Metric,
     NeighborMode,
     NoTessellationError,
+    OutOfRangeError,
     PlausibilityWarning,
+    Region,
     RfpError,
     Scenario,
     ScenarioSchemaError,
@@ -26,11 +29,16 @@ from rfpcompare import (
     builtin_scenario,
     UnsupportedParameterChangeError,
     builtin_scenario_ids,
+    central_alpha,
     closed_form_delta,
+    compute_field,
     delta_emitted,
+    empirical_alpha,
+    estimate_alpha_monte_carlo,
     generate_sites,
     parse_scenario_file,
     received_power,
+    rfp_upper_bound,
     sweep_beta,
     validate_scenario,
 )
@@ -402,33 +410,33 @@ CIRCLE_ADJACENT = "the circle layout cannot be evaluated in adjacent-neighbor mo
 RANGE_CASES = [
     # Deployment fields: > 0, eta >= 0, gamma plausible.
     ("Deployment-d_max", lambda: Deployment(0.0, 1.0, 3.0, 700.0),
-     (ValueError, None, "d_max must be > 0, got 0.0")),
+     (OutOfRangeError, None, "d_max must be > 0, got 0.0")),
     ("Deployment-p_r_th", lambda: Deployment(500.0, -1.0, 3.0, 700.0),
-     (ValueError, None, "p_r_th must be > 0, got -1.0")),
+     (OutOfRangeError, None, "p_r_th must be > 0, got -1.0")),
     ("Deployment-gamma", lambda: Deployment(500.0, 1.0, 0.0, 700.0),
-     (ValueError, None, "gamma must be > 0, got 0.0")),
+     (OutOfRangeError, None, "gamma must be > 0, got 0.0")),
     ("Deployment-f", lambda: Deployment(500.0, 1.0, 3.0, -700.0),
-     (ValueError, None, "f must be > 0, got -700.0")),
+     (OutOfRangeError, None, "f must be > 0, got -700.0")),
     ("Deployment-c", lambda: Deployment(500.0, 1.0, 3.0, 700.0, c=0.0),
-     (ValueError, None, "c must be > 0, got 0.0")),
+     (OutOfRangeError, None, "c must be > 0, got 0.0")),
     ("Deployment-eta", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=-0.5),
-     (ValueError, None, "eta must be >= 0, got -0.5")),
+     (OutOfRangeError, None, "eta must be >= 0, got -0.5")),
     ("Deployment-p_r_th-infinite", lambda: Deployment(500.0, math.inf, 3.0, 700.0),
-     (ValueError, None, "p_r_th must be finite, got inf")),
+     (OutOfRangeError, None, "p_r_th must be finite, got inf")),
     ("Deployment-eta-nan", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=math.nan),
-     (ValueError, None, "eta must be finite, got nan")),
+     (OutOfRangeError, None, "eta must be finite, got nan")),
     ("Deployment-d_max-infinite", lambda: Deployment(math.inf, 1.0, 3.0, 700.0),
-     (ValueError, None, "d_max must be finite, got inf")),
+     (OutOfRangeError, None, "d_max must be finite, got inf")),
     ("Deployment-eta-zero", lambda: Deployment(500.0, 1.0, 3.0, 700.0, eta=0.0), []),
     ("Deployment-gamma-plausibility", lambda: Deployment(500.0, 1.0, 9.0, 700.0),
      [(PlausibilityWarning, GAMMA_9)]),
     # The deployment fields that received_power and generate_sites take alone.
     ("received_power-f", lambda: received_power(1.0, 1.0, 3.0, 0.0),
-     (ValueError, None, "f must be > 0, got 0.0")),
+     (OutOfRangeError, None, "f must be > 0, got 0.0")),
     ("received_power-c-nan", lambda: received_power(1.0, 1.0, 3.0, 700.0, c=math.nan),
-     (ValueError, None, "c must be finite, got nan")),
+     (OutOfRangeError, None, "c must be finite, got nan")),
     ("generate_sites-d_max-nan", lambda: generate_sites(HEX, math.nan, 2),
-     (ValueError, None, "d_max must be finite, got nan")),
+     (OutOfRangeError, None, "d_max must be finite, got nan")),
     # Scenario: beta1 in (0, 1).
     ("Scenario-beta1-high", lambda: scenario(beta1=1.5),
      (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.5")),
@@ -528,3 +536,75 @@ def test_range_rule_outcome(call, expected):
     """Exception class and text (with the field path for a scenario document),
     or the warnings and violations, of each range rule at each entry point."""
     assert outcome(call) == expected
+
+
+DEP = Deployment(500.0, 1.0, 3.0, 700.0)
+LATTICE = generate_sites(HEX, 500.0, 2)
+
+# (id, call, message): every refusal of a value that a caller passes in.
+REFUSALS = [
+    ("non_finite", lambda: Deployment(500.0, math.nan, 3.0, 700.0),
+     "p_r_th must be finite, got nan"),
+    ("out_of_range", lambda: Deployment(500.0, 1.0, -3.0, 700.0), "gamma must be > 0, got -3.0"),
+    ("rfp_upper_bound-n_i", lambda: rfp_upper_bound(DEP, 100.0, HEX, -1),
+     "n_i must be >= 0, got -1"),
+    ("rfp_upper_bound-n_i-not-an-integer", lambda: rfp_upper_bound(DEP, 100.0, HEX, math.nan),
+     "n_i must be an integer, got nan"),
+    ("Region-degenerate", lambda: Region(1.0, 0.0, 0.0, 0.0),
+     "degenerate region bounds: Region(x_min=1.0, x_max=0.0, y_min=0.0, y_max=0.0)"),
+    ("generate_sites-rings", lambda: generate_sites(HEX, 500.0, 11),
+     "rings must be in [1, 10], got 11"),
+    ("generate_sites-rings-not-an-integer", lambda: generate_sites(LayoutKind.SQUARE, 500.0, 2.5),
+     "rings must be an integer, got 2.5"),
+    ("generate_sites-float-range", lambda: generate_sites(LayoutKind.HIGHWAY, 1e307, 10),
+     "d_max 1e+307 m with 10 rings puts highway sites past the largest float, 1.79769e+308 m"),
+    ("compute_field-resolution", lambda: compute_field(LATTICE, DEP, math.inf),
+     "resolution must be finite and > 0, got inf"),
+    ("compute_field-infinite-bound",
+     lambda: compute_field(LATTICE, DEP, 5.0, Region(-math.inf, 0.0, 0.0, 0.0)),
+     "region bound x_min must be finite, got -inf"),
+    ("compute_field-pixel-budget", lambda: compute_field(LATTICE, DEP, 0.1),
+     "resolution 0.1 m needs about 1.05e+08 pixels, over the pixel budget "
+     "MAX_FIELD_PIXELS = 4194304"),
+    ("empirical_alpha-resolution", lambda: empirical_alpha(LATTICE, 6.0),
+     "resolution must be > 0 and <= d_max/100 = 5.0, got 6.0"),
+    ("central_alpha-no-usable-pixel",
+     lambda: central_alpha(np.array([1]), np.array([5.0]), 1.0, 100.0),
+     "resolution 1 m leaves no usable pixel in the central cell (pixels: 1, excluded: 0)"),
+    ("estimate_alpha-n_samples", lambda: estimate_alpha_monte_carlo(HEX, 999, 1),
+     "n_samples must be >= 1000, got 999"),
+    ("estimate_alpha-n_samples-not-an-integer",
+     lambda: estimate_alpha_monte_carlo(HEX, 1500.5, 1),
+     "n_samples must be an integer, got 1500.5"),
+    ("estimate_alpha-seed", lambda: estimate_alpha_monte_carlo(HEX, 1000, -1),
+     "seed must be >= 0, got -1"),
+    ("estimate_alpha-seed-not-an-integer", lambda: estimate_alpha_monte_carlo(HEX, 1000, 1.5),
+     "seed must be an integer, got 1.5"),
+    ("sweep_beta-step", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.1, 0.0),
+     "beta_step must be > 0, got 0.0"),
+    ("sweep_beta-bounds", lambda: sweep_beta(S5, HEX, NONE, 0.1, 0.05, 0.01),
+     "need 0 < beta_start <= beta_end, got [0.1, 0.05]"),
+    ("sweep_beta-point-budget", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.1, 1e-9),
+     "beta grid [0.05, 0.1] in steps of 1e-09 needs about 5e+07 points, over the point "
+     "budget MAX_SWEEP_POINTS = 100000"),
+]
+
+
+@pytest.mark.parametrize("call,message", [pytest.param(call, message, id=case_id)
+                                          for case_id, call, message in REFUSALS])
+def test_a_refused_value_is_an_out_of_range_error(call, message):
+    """Every refusal of an input value is an ``OutOfRangeError``: an ``RfpError``,
+    which the command line reports as one error line with exit 2, and still a
+    ``ValueError`` for callers that catch that."""
+    with pytest.raises(OutOfRangeError) as refused:
+        call()
+    assert isinstance(refused.value, RfpError) and isinstance(refused.value, ValueError)
+    assert str(refused.value) == message
+
+
+def test_numpy_integer_counts_pass():
+    """The ring, neighbor and sample counts and the seed accept any integer
+    type, numpy's too."""
+    assert len(generate_sites(HEX, 500.0, np.int64(2)).sites) == 19
+    assert rfp_upper_bound(DEP, 100.0, HEX, np.int32(6)) == rfp_upper_bound(DEP, 100.0, HEX, 6)
+    assert 0 < estimate_alpha_monte_carlo(HEX, np.int64(1000), np.uint8(1))[0] < 1
