@@ -21,11 +21,10 @@ _EXPORTS = {
     "comparison": ("CLOSED_FORM_RTOL", "ClosedFormCheck", "ComparisonResult", "DeploymentPair",
                    "Metric", "closed_form_delta", "delta_avg", "delta_emitted", "delta_fixed",
                    "evaluate_pair", "pair_for", "sweep_beta", "verify_closed_forms"),
-    "errors": ("BetaOutOfRangeError", "BoundNotValidError", "NoTessellationError",
-               "OutOfRangeError", "PlausibilityWarning", "RfpError", "ScenarioError",
-               "ScenarioSchemaError", "ScenarioSyntaxError", "ScenarioValidationError",
-               "SingularDistanceError", "UnsupportedParameterChangeError"),
-    "geometry": ("LayoutKind", "TESSELLATING_KINDS", "cell_contains", "estimate_alpha_monte_carlo"),
+    "errors": ("NoTessellationError", "OutOfRangeError", "PlausibilityWarning", "RfpError",
+               "ScenarioError", "ScenarioSchemaError", "ScenarioSyntaxError",
+               "ScenarioValidationError"),
+    "geometry": ("LayoutKind", "TESSELLATING_KINDS", "cell_contains"),
     "gridsim": ("Region", "RfpField", "SiteLattice", "central_alpha", "compute_field",
                 "default_region", "empirical_alpha", "export_field_csv", "field_bands",
                 "generate_sites", "verify_upper_bound"),
@@ -34,7 +33,7 @@ _EXPORTS = {
                     "rfp_upper_bound"),
     "scenarios": ("DEFAULT_BETA1", "Scenario", "builtin_scenario", "builtin_scenario_ids",
                   "parse_scenario_file", "validate_scenario"),
-    "selfcheck": ("CheckResult", "run_validation"),
+    "selfcheck": ("CheckResult", "estimate_alpha_monte_carlo", "run_validation"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

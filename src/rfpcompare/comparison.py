@@ -296,12 +296,9 @@ def sweep_beta(
     sweep naming the offending beta1, and a grid of more than
     ``MAX_SWEEP_POINTS`` points is refused before it is built.
     """
-    if not beta_step > 0:
-        raise OutOfRangeError(f"beta_step must be > 0, got {beta_step}")
-    if not 0 < beta_start <= beta_end:
-        raise OutOfRangeError(
-            f"need 0 < beta_start <= beta_end, got [{beta_start}, {beta_end}]"
-        )
+    refuse(range_violations(fields=[("beta_step", beta_step), ("beta_start", beta_start)]))
+    if not beta_start <= beta_end:
+        raise OutOfRangeError(f"need beta_start <= beta_end, got [{beta_start}, {beta_end}]")
     # Checked as a float before int(): a subnormal step gives an infinite count.
     n_steps = (beta_end - beta_start) / beta_step + 0.5
     if not n_steps < MAX_SWEEP_POINTS:

@@ -8,33 +8,14 @@ class RfpError(Exception):
 
 
 class OutOfRangeError(RfpError, ValueError):
-    """Raised when an input value lies outside the range its parameter accepts,
-    such as a non-finite field or a grid over its budget. Also a ValueError."""
+    """Raised when an input value lies outside the range its parameter accepts
+    (``propagation.RANGES``), or two values break a rule between them, such as
+    beta2 > 1 or a grid over its budget. Also a ValueError."""
 
 
 class NoTessellationError(RfpError):
     """Raised when a tessellation property (zeta, neighbor count, site lattice)
     is requested for the circle layout, which does not tile the plane."""
-
-
-class SingularDistanceError(RfpError):
-    """Raised when a received-power evaluation is requested at a non-positive
-    distance, where the far-field model diverges."""
-
-
-class BoundNotValidError(RfpError):
-    """Raised when the neighbor upper bound is evaluated outside its validity
-    region 0 < d <= zeta * d_max."""
-
-
-class BetaOutOfRangeError(RfpError):
-    """Raised when a fixed-distance fraction beta falls outside its admissible
-    range (0, 1]."""
-
-
-class UnsupportedParameterChangeError(RfpError):
-    """Raised when a deployment pair varies a parameter the ratio formulas
-    keep fixed (currently: the frequency exponent eta)."""
 
 
 class ScenarioError(RfpError):

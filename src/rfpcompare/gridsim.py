@@ -20,7 +20,7 @@ from functools import cache, partial
 
 from ._record import record
 from .errors import NoTessellationError, OutOfRangeError
-from .geometry import _BOUNDING_BOX, _SQRT3, LayoutKind, _count, _usable_cpus
+from .geometry import _BOUNDING_BOX, _SQRT3, LayoutKind, _usable_cpus
 from .propagation import Deployment, emitted_power, neighbor_charge, range_violations, refuse
 
 
@@ -73,9 +73,7 @@ def generate_sites(kind: LayoutKind, d_max: float, rings: int) -> SiteLattice:
     kind = LayoutKind(kind)
     if not kind.tessellates:
         raise NoTessellationError("the circle layout has no site lattice")
-    refuse(range_violations(fields=[("d_max", d_max)]))
-    if not 1 <= _count("rings", rings) <= 10:
-        raise OutOfRangeError(f"rings must be in [1, 10], got {rings}")
+    refuse(range_violations(fields=[("d_max", d_max), ("rings", rings)]))
 
     s = 2.0 * kind.zeta * d_max
     k = np.arange(-rings, rings + 1)
@@ -152,9 +150,8 @@ def _pixel_axes(region: Region, resolution: float) -> tuple[np.ndarray, np.ndarr
     anything is allocated. A non-finite bound is refused by name.
     """
     import numpy as np
-    for name in ("x_min", "x_max", "y_min", "y_max"):
-        if not math.isfinite(bound := getattr(region, name)):
-            raise OutOfRangeError(f"region bound {name} must be finite, got {bound}")
+    refuse(range_violations(fields=[(name, getattr(region, name))
+                                    for name in ("x_min", "x_max", "y_min", "y_max")]))
     strip = region.y_min == region.y_max
     nx_f = (region.x_max - region.x_min) / resolution + 1e-9
     ny_f = 1.0 if strip else (region.y_max - region.y_min) / resolution + 1e-9
@@ -333,7 +330,17 @@ class RfpField:
     @property
     def central_cell(self) -> np.ndarray:
         """Mask of non-excluded pixels served by the central site."""
-        return (self.serving_site == 0) & ~self.excluded
+        return _central(self.serving_site, self.excluded)
+
+
+def _excluded(serving_distance: np.ndarray, resolution: float) -> np.ndarray:
+    """Mask of the pixels within half a ``resolution`` of their serving site."""
+    return serving_distance < resolution / 2.0
+
+
+def _central(serving_site: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """Mask of the pixels served by site 0, less the ``excluded`` ones."""
+    return (serving_site == 0) & ~excluded
 
 
 def compute_field(
@@ -350,8 +357,7 @@ def compute_field(
     ``OutOfRangeError``; an empty region gives an empty field.
     """
     import numpy as np
-    if not 0 < resolution < math.inf:
-        raise OutOfRangeError(f"resolution must be finite and > 0, got {resolution}")
+    refuse(range_violations(fields=[("resolution", resolution)]))
     if region is None:
         region = default_region(lattice)
     xs, ys = _pixel_axes(region, resolution)
@@ -361,7 +367,7 @@ def compute_field(
         serving_id, min_d2, total = _site_sweep(lattice, xs, ys, dep.gamma, scale)
         # In place where the bits allow: no full-grid temporaries.
         serving_d = np.sqrt(min_d2, out=min_d2)
-        excluded = serving_d < resolution / 2.0
+        excluded = _excluded(serving_d, resolution)
         serving_power = serving_d**-dep.gamma
         serving_power *= scale
 
@@ -452,16 +458,27 @@ def central_alpha(serving_site: np.ndarray, serving_distance: np.ndarray,
                   resolution: float, d_max: float) -> float:
     """The empirical alpha: the mean serving distance over d_max of the pixels
     served by site 0, less those within half a ``resolution`` of their site
-    (``RfpField.central_cell``). Without such a pixel, raises ``OutOfRangeError``."""
+    (``RfpField.central_cell``). Without such a pixel, raises ``OutOfRangeError``.
+    The mask is made ``TILE_PIXELS`` at a time, once to count the pixels and
+    once to gather their distances, so no mask is held at grid size."""
     import numpy as np
-    excluded = serving_distance < resolution / 2.0
-    central = (serving_site == 0) & ~excluded
-    if not central.any():
+    site, distance = serving_site.reshape(-1), serving_distance.reshape(-1)
+    parts = [slice(i, i + TILE_PIXELS) for i in range(0, site.size, TILE_PIXELS)]
+
+    def central(part: slice) -> np.ndarray:
+        return _central(site[part], _excluded(distance[part], resolution))
+
+    counts = [int(np.count_nonzero(central(part))) for part in parts]
+    if not sum(counts):
         raise OutOfRangeError(
             f"resolution {resolution:.9g} m leaves no usable pixel in the central cell "
-            f"(pixels: {serving_site.size}, excluded: {np.count_nonzero(excluded)})"
+            f"(pixels: {site.size}, excluded: {np.count_nonzero(_excluded(distance, resolution))})"
         )
-    return float(serving_distance[central].mean() / d_max)
+    gathered, n = np.empty(sum(counts)), 0
+    for part, k in zip(parts, counts):
+        np.compress(central(part), distance[part], out=gathered[n:n + k])
+        n += k
+    return float(gathered.mean() / d_max)
 
 
 def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
@@ -469,10 +486,9 @@ def empirical_alpha(lattice: SiteLattice, resolution: float) -> float:
     converges to the layout's closed-form alpha as the resolution shrinks.
     """
     import numpy as np
-    if not 0 < resolution <= lattice.d_max / 100.0:
-        raise OutOfRangeError(
-            f"resolution must be > 0 and <= d_max/100 = {lattice.d_max / 100.0}, got {resolution}"
-        )
+    refuse(range_violations(fields=[("resolution", resolution)]))
+    if not resolution <= (limit := lattice.d_max / 100.0):
+        raise OutOfRangeError(f"resolution must be <= d_max/100 = {limit}, got {resolution}")
     xs, ys = _pixel_axes(default_region(lattice), resolution)
     serving_id, min_d2, _ = _site_sweep(lattice, xs, ys)
     return central_alpha(serving_id, np.sqrt(min_d2, out=min_d2), resolution, lattice.d_max)

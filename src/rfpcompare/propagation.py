@@ -10,21 +10,14 @@ matter because ``d_max`` and ``f`` enter the emitted power with exponents.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Iterable
 from enum import Enum
 
 from ._record import record
-from .errors import (
-    BetaOutOfRangeError,
-    BoundNotValidError,
-    NoTessellationError,
-    OutOfRangeError,
-    PlausibilityWarning,
-    SingularDistanceError,
-    UnsupportedParameterChangeError,
-)
-from .geometry import LayoutKind, _count
+from .errors import NoTessellationError, OutOfRangeError, PlausibilityWarning
+from .geometry import LayoutKind
 
 #: Plausible range for the distance path-loss exponent (sub-6 GHz, <= 500 m).
 GAMMA_PLAUSIBLE_RANGE = (1.5, 6.5)
@@ -63,6 +56,40 @@ class Violation:
     message: str
 
 
+#: The accepted values of every scalar input, by name: their text, their
+#: test, and whether only integers pass. A value that is not an integer must
+#: be finite.
+RANGES = {
+    **dict.fromkeys(("d_max", "d_max_m", "p_r_th", "gamma", "f", "f_mhz", "c", "distance",
+                     "p_e", "serving_distance", "resolution", "beta_start", "beta_step"),
+                    ("> 0", lambda v: v > 0, False)),
+    "eta": (">= 0", lambda v: v >= 0, False),
+    "beta": ("in (0, 1]", lambda v: 0 < v <= 1, False),
+    "beta1": ("in (0, 1)", lambda v: 0 < v < 1, False),
+    **dict.fromkeys(("x_min", "x_max", "y_min", "y_max"), ("finite", lambda v: True, False)),
+    "rings": ("in [1, 10]", lambda v: 1 <= v <= 10, True),
+    "n_i": (">= 0", lambda v: v >= 0, True),
+    "n_samples": (">= 1000", lambda v: v >= 1000, True),
+    "seed": (">= 0", lambda v: v >= 0, True),
+}
+
+
+def _field_error(path: str, value) -> tuple[str, str, str] | None:
+    """(code, path, message) of the ``RANGES`` rule of the path's last
+    component, if ``value`` breaks it."""
+    name = path.rpartition(".")[2]
+    accepted, inside, integer = RANGES[name]
+    if integer:
+        try:
+            value = operator.index(value)  # a numpy integer passes
+        except TypeError:
+            return "not_an_integer", path, f"{name} must be an integer, got {value}"
+    elif not math.isfinite(value):
+        return "non_finite", path, f"{name} must be finite, got {value}"
+    if not inside(value):
+        return "out_of_range", path, f"{name} must be {accepted}, got {value}"
+
+
 def range_violations(
     *,
     fields: Iterable[tuple[str, float]] = (),
@@ -75,28 +102,24 @@ def range_violations(
     """The findings of every range rule that the given inputs reach: errors in
     rule order, then warnings. This is the one place each rule is written.
 
-    ``fields`` are (path, value) pairs of deployment fields, named by the
-    path's last component. Each must be finite and > 0 (eta >= 0); a gamma
-    outside ``GAMMA_PLAUSIBLE_RANGE`` draws a warning. beta1 must lie in
-    (0, 1). When ``d_max`` = (d_max(1), d_max(2)) comes with it, deployment
-    (2)'s matching fixed point beta2 = beta1 * d_max(1)/d_max(2) must lie in
+    ``fields`` are (path, value) pairs, each checked against the ``RANGES``
+    entry of the path's last component; a gamma outside
+    ``GAMMA_PLAUSIBLE_RANGE`` draws a warning. ``beta1`` is such a field, and
+    when ``d_max`` = (d_max(1), d_max(2)) comes with it, deployment (2)'s
+    matching fixed point beta2 = beta1 * d_max(1)/d_max(2) must lie in
     (0, 1]. The two values of ``eta`` must be equal. The circle layout, which
     does not tile, must not meet the adjacent-neighbor mode.
     """
     found, warned = [], []
     lo, hi = GAMMA_PLAUSIBLE_RANGE
     for path, value in fields:
-        name = path.rpartition(".")[2]
-        bound, inside = (">=", value >= 0) if name == "eta" else (">", value > 0)
-        if not math.isfinite(value):
-            found.append(("non_finite", path, f"{name} must be finite, got {value}"))
-        elif not inside:
-            found.append(("out_of_range", path, f"{name} must be {bound} 0, got {value}"))
-        elif name == "gamma" and not lo <= value <= hi:
+        if error := _field_error(path, value):
+            found.append(error)
+        elif path.rpartition(".")[2] == "gamma" and not lo <= value <= hi:
             warned.append(Violation("gamma_plausibility", "warning", path, f"gamma = {value} "
                                     f"is outside the plausible range [{lo}, {hi}]"))
-    if beta1 is not None and not 0 < beta1 < 1:
-        found.append(("beta_out_of_range", "beta1", f"beta1 must be in (0, 1), got {beta1}"))
+    if beta1 is not None and (error := _field_error("beta1", beta1)):
+        found.append(error)
     elif d_max is not None and not 0 < (beta2 := beta1 * d_max[0] / d_max[1]) <= 1:
         found.append(("beta_out_of_range", "beta1", f"beta1 = {beta1:.6g} gives beta2 = "
                       f"beta1 * d_max(1)/d_max(2) = {beta2:.6g}, outside (0, 1]"))
@@ -109,18 +132,14 @@ def range_violations(
     return [Violation(code, "error", path, message) for code, path, message in found] + warned
 
 
-#: The exception that refuses each error code outside a scenario document.
-_REFUSALS = {"non_finite": OutOfRangeError, "out_of_range": OutOfRangeError,
-             "beta_out_of_range": BetaOutOfRangeError, "no_tessellation": NoTessellationError,
-             "unsupported_parameter_change": UnsupportedParameterChangeError}
-
-
 def refuse(violations: list[Violation]) -> list[Violation]:
-    """Raise the first error of ``violations`` as its code's exception; return
-    the warnings if there is none."""
+    """Raise the first error of ``violations``, as a ``NoTessellationError`` for
+    the circle in adjacent mode and an ``OutOfRangeError`` otherwise; return the
+    warnings if there is none."""
     for v in violations:
         if v.severity == "error":
-            raise _REFUSALS[v.code](v.message)
+            error = NoTessellationError if v.code == "no_tessellation" else OutOfRangeError
+            raise error(v.message)
     return violations
 
 
@@ -140,11 +159,10 @@ def received_power(
 ) -> float:
     """Power received at distance ``d`` [m] from an emitter of power ``p_e``.
 
-    Raises SingularDistanceError for d <= 0, where the model diverges.
+    Every argument must lie in its ``RANGES`` entry: the model diverges at d <= 0.
     """
-    if d <= 0:
-        raise SingularDistanceError(f"distance must be > 0, got {d}")
-    refuse(range_violations(fields=[("f", f), ("c", c)]))
+    refuse(range_violations(fields=[("p_e", p_e), ("distance", d), ("gamma", gamma), ("f", f),
+                                    ("eta", eta), ("c", c)]))
     return p_e / (d**gamma * f**eta * c)
 
 
@@ -204,14 +222,10 @@ def rfp_upper_bound(
     pixels: 56 pixels fail at 6 rings, 3972 at 7. At gamma = 2.1 a ring-wise
     sum 0.05 * d_max from the site first breaks it at ring 43. Only valid for
     0 < serving_distance <= zeta * d_max."""
-    limit = layout.zeta * dep.d_max
-    if not 0 < serving_distance <= limit:
-        raise BoundNotValidError(
-            f"serving_distance={serving_distance} outside the bound's validity "
-            f"region (0, {limit}]"
-        )
-    if _count("n_i", n_i) < 0:
-        raise OutOfRangeError(f"n_i must be >= 0, got {n_i}")
+    refuse(range_violations(fields=[("serving_distance", serving_distance), ("n_i", n_i)]))
+    if not serving_distance <= (limit := layout.zeta * dep.d_max):
+        raise OutOfRangeError(f"serving_distance={serving_distance} outside the bound's "
+                              f"validity region (0, {limit}]")
     return dep.p_r_th * _bracket(serving_distance / dep.d_max, dep.gamma, layout, n_i)
 
 
@@ -237,8 +251,7 @@ def rfp_fixed(dep: Deployment, layout: LayoutKind, beta: float, mode: NeighborMo
     values above the overlap parameter zeta are outside the model's nominal
     region and only draw a warning.
     """
-    if not 0 < beta <= 1:
-        raise BetaOutOfRangeError(f"beta must be in (0, 1], got {beta}")
+    refuse(range_violations(fields=[("beta", beta)]))
     if layout.tessellates and beta > layout.zeta:
         warnings.warn(
             f"beta={beta} exceeds zeta={layout.zeta:.6g}; the fixed-distance model "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from rfpcompare import PlausibilityWarning
 
 from rfpcompare import (
-    BetaOutOfRangeError,
     CLOSED_FORM_RTOL,
     Deployment,
     DeploymentPair,
@@ -18,8 +18,8 @@ from rfpcompare import (
     Metric,
     NeighborMode,
     NoTessellationError,
+    OutOfRangeError,
     TESSELLATING_KINDS,
-    UnsupportedParameterChangeError,
     builtin_scenario,
     closed_form_delta,
     delta_avg,
@@ -91,14 +91,16 @@ def test_pair_beta2_definition():
 
 def test_pair_rejects_beta2_above_one():
     s = builtin_scenario("S5")  # delta(d_max) = 10
-    with pytest.raises(BetaOutOfRangeError):
+    beta2 = "beta1 = 0.2 gives beta2 = beta1 * d_max(1)/d_max(2) = 2, outside (0, 1]"
+    with pytest.raises(OutOfRangeError, match=re.escape(beta2)):
         DeploymentPair(s.dep1, s.dep2, HEX, 0.2, NeighborMode.NONE)
 
 
 def test_pair_rejects_bad_beta1():
     s = builtin_scenario("S1")
     for beta1 in (0.0, 1.0, -0.3):
-        with pytest.raises(BetaOutOfRangeError):
+        with pytest.raises(OutOfRangeError,
+                           match=re.escape(f"beta1 must be in (0, 1), got {beta1}")):
             DeploymentPair(s.dep1, s.dep2, HEX, beta1, NeighborMode.NONE)
 
 
@@ -140,7 +142,8 @@ def test_delta_emitted_rejects_eta_change():
     dep1 = Deployment(500.0, 1.0, 3.0, 700.0, eta=2.0)
     dep2 = Deployment(250.0, 1.0, 3.0, 700.0, eta=2.5)
     pair = DeploymentPair(dep1, dep2, HEX, 0.05, NeighborMode.NONE)
-    with pytest.raises(UnsupportedParameterChangeError):
+    with pytest.raises(OutOfRangeError,
+                       match=re.escape("deployments must share eta, got 2.0 and 2.5")):
         delta_emitted(pair)
 
 

@@ -17,7 +17,8 @@ from rfpcompare import (
     cell_contains,
     estimate_alpha_monte_carlo,
 )
-from rfpcompare.geometry import _BOUNDING_BOX, _MC_BLOCK, _MC_CHUNK, _hexagon_mask, contains_mask
+from rfpcompare.geometry import _BOUNDING_BOX, _hexagon_mask, contains_mask
+from rfpcompare.selfcheck import _MC_BLOCK, _MC_CHUNK
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -547,7 +548,7 @@ def test_monte_carlo_peak_is_below_one_chunk_buffer(force_cpus, kind, cpus):
 # BLAS thread count is set by its environment.
 BLAS_CHILD = """
 from rfpcompare import LayoutKind, estimate_alpha_monte_carlo
-from rfpcompare.geometry import _MC_CHUNK
+from rfpcompare.selfcheck import _MC_CHUNK
 for kind in LayoutKind:
     print(repr(estimate_alpha_monte_carlo(kind, 3 * _MC_CHUNK + 17, 58121)))
 """

@@ -618,7 +618,7 @@ def test_compute_field_refuses_a_non_finite_region_bound(bounds, name):
     one: the field names the bound instead of failing on NaN or giving a row
     of pixels at y = inf."""
     lattice = generate_sites(LayoutKind.HIGHWAY, 500.0, 1)
-    with pytest.raises(ValueError, match=f"region bound {name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got -?inf$"):
         compute_field(lattice, S1_DEP1, 5.0, region=Region(*bounds))
 
 
@@ -879,7 +879,7 @@ def test_empirical_alpha_matches_hypot_oracle():
 
 def test_empirical_alpha_resolution_guard():
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^resolution must be <= d_max/100 = 5\.0, got 5\.01$"):
         empirical_alpha(lattice, 5.01)
 
 
@@ -888,7 +888,7 @@ def test_empirical_alpha_refuses_a_resolution_not_above_zero(resolution):
     """Refused by name, like ``compute_field``, not by a division by zero or a
     pixel count computed from a negative size."""
     lattice = generate_sites(LayoutKind.HEXAGONAL, 500.0, 1)
-    with pytest.raises(ValueError, match=r"resolution must be > 0 and <= d_max/100 = 5\.0"):
+    with pytest.raises(ValueError, match=f"^resolution must be > 0, got {resolution}$"):
         empirical_alpha(lattice, resolution)
 
 

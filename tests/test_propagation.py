@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from rfpcompare import (
-    BetaOutOfRangeError,
-    BoundNotValidError,
     Deployment,
     LayoutKind,
     NeighborMode,
     NoTessellationError,
+    OutOfRangeError,
     PlausibilityWarning,
-    SingularDistanceError,
     TESSELLATING_KINDS,
     emitted_power,
     received_power,
@@ -53,9 +52,9 @@ def test_received_power_basic_arithmetic():
 
 
 def test_received_power_rejects_singular_distance():
-    with pytest.raises(SingularDistanceError):
+    with pytest.raises(OutOfRangeError, match=re.escape("distance must be > 0, got 0.0")):
         received_power(1.0, 0.0, 3.0, 700.0)
-    with pytest.raises(SingularDistanceError):
+    with pytest.raises(OutOfRangeError, match=re.escape("distance must be > 0, got -2.0")):
         received_power(1.0, -2.0, 3.0, 700.0)
 
 
@@ -147,9 +146,11 @@ def test_upper_bound_hexagonal_25m_example():
 def test_upper_bound_validity_region():
     dep = Deployment(500.0, 1.0, 3.0, 700.0)
     limit = HEX.zeta * dep.d_max
-    with pytest.raises(BoundNotValidError):
+    outside = (f"serving_distance={limit * 1.001} outside the bound's validity "
+               f"region (0, {limit}]")
+    with pytest.raises(OutOfRangeError, match=re.escape(outside)):
         rfp_upper_bound(dep, limit * 1.001, HEX, 6)
-    with pytest.raises(BoundNotValidError):
+    with pytest.raises(OutOfRangeError, match=re.escape("serving_distance must be > 0, got 0.0")):
         rfp_upper_bound(dep, 0.0, HEX, 6)
 
 
@@ -209,7 +210,7 @@ def test_rfp_fixed_examples():
 def test_rfp_fixed_beta_range():
     dep = Deployment(500.0, 1.0, 3.0, 700.0)
     for beta in (0.0, -0.1, 1.0001):
-        with pytest.raises(BetaOutOfRangeError):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"beta must be in (0, 1], got {beta}")):
             rfp_fixed(dep, HEX, beta, NeighborMode.NONE)
 
 

@@ -5,18 +5,19 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 import warnings
 import weakref
 
 import pytest
 
 from rfpcompare import (
-    BetaOutOfRangeError,
     ComparisonResult,
     Deployment,
     DeploymentPair,
     LayoutKind,
     NeighborMode,
+    OutOfRangeError,
     PlausibilityWarning,
     Region,
     Scenario,
@@ -107,7 +108,7 @@ def test_post_init_checks_run_for_every_argument_form():
         Deployment(0.0, 1.0, 3.0, 700.0)
     with pytest.raises(ValueError):
         Deployment(d_max=500.0, p_r_th=1.0, gamma=3.0, f=700.0, eta=-1.0)
-    with pytest.raises(BetaOutOfRangeError):
+    with pytest.raises(OutOfRangeError, match=re.escape("beta1 must be in (0, 1), got 1.5")):
         DeploymentPair(s1.dep1, s1.dep2, LayoutKind.SQUARE, beta1=1.5)
 
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import rfpcompare
 from rfpcompare import (
-    BetaOutOfRangeError,
     Deployment,
     DeploymentPair,
     LayoutKind,
@@ -26,8 +27,8 @@ from rfpcompare import (
     ScenarioSchemaError,
     ScenarioSyntaxError,
     ScenarioValidationError,
+    SiteLattice,
     builtin_scenario,
-    UnsupportedParameterChangeError,
     builtin_scenario_ids,
     central_alpha,
     closed_form_delta,
@@ -38,7 +39,9 @@ from rfpcompare import (
     generate_sites,
     parse_scenario_file,
     received_power,
+    rfp_fixed,
     rfp_upper_bound,
+    run_validation,
     sweep_beta,
     validate_scenario,
 )
@@ -250,7 +253,7 @@ def test_validate_flags_beta2_overflow_and_eta_mismatch():
 
 
 def test_scenario_rejects_bad_beta1_at_construction():
-    with pytest.raises(BetaOutOfRangeError):
+    with pytest.raises(OutOfRangeError, match=re.escape("beta1 must be in (0, 1), got 1.5")):
         Scenario(
             id="X",
             description="",
@@ -301,7 +304,8 @@ def test_sweep_matches_published_neighbor_table():
 
 
 def test_sweep_aborts_when_beta2_would_leave_the_cell():
-    with pytest.raises(BetaOutOfRangeError, match="0.11"):
+    beta2 = "beta1 = 0.11 gives beta2 = beta1 * d_max(1)/d_max(2) = 1.1, outside (0, 1]"
+    with pytest.raises(OutOfRangeError, match=re.escape(beta2)):
         sweep_beta(
             builtin_scenario("S5"), LayoutKind.HEXAGONAL, NeighborMode.NONE,
             0.05, 0.11, 0.01,
@@ -439,14 +443,14 @@ RANGE_CASES = [
      (OutOfRangeError, None, "d_max must be finite, got nan")),
     # Scenario: beta1 in (0, 1).
     ("Scenario-beta1-high", lambda: scenario(beta1=1.5),
-     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.5")),
+     (OutOfRangeError, None, "beta1 must be in (0, 1), got 1.5")),
     ("Scenario-beta1-zero", lambda: scenario(beta1=0.0),
-     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 0.0")),
+     (OutOfRangeError, None, "beta1 must be in (0, 1), got 0.0")),
     # DeploymentPair: beta1 in (0, 1), beta2 <= 1, no circle in adjacent mode.
     ("DeploymentPair-beta1", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 1.0, NONE),
-     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
+     (OutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
     ("DeploymentPair-beta2", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 0.2, NONE),
-     (BetaOutOfRangeError, None, BETA2)),
+     (OutOfRangeError, None, BETA2)),
     ("DeploymentPair-circle-adjacent",
      lambda: DeploymentPair(S5.dep1, S5.dep2, CIRCLE, 0.05, ADJACENT),
      (NoTessellationError, None, CIRCLE_ADJACENT)),
@@ -511,22 +515,22 @@ RANGE_CASES = [
        "deployments must share eta, got 2.0 and 3.0")]),
     # sweep_beta: every grid point's beta1 below 1 and beta2 <= 1.
     ("sweep-beta2", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.11, 0.01),
-     (BetaOutOfRangeError, None,
+     (OutOfRangeError, None,
       "beta1 = 0.11 gives beta2 = beta1 * d_max(1)/d_max(2) = 1.1, outside (0, 1]")),
     ("sweep-beta1", lambda: sweep_beta(builtin_scenario("S4"), HEX, NONE, 0.9, 1.0, 0.1),
-     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
+     (OutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
     # closed_form_delta: beta1 in (0, 1) for the fixed-distance ratio.
     ("closed_form_delta-beta1",
      lambda: closed_form_delta("S1", Metric.PR_FX, HEX, NONE, 1.0),
-     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
+     (OutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
     ("closed_form_delta-beta1-zero",
      lambda: closed_form_delta("S1", Metric.PR_FX, HEX, NONE, 0.0),
-     (BetaOutOfRangeError, None, "beta1 must be in (0, 1), got 0.0")),
+     (OutOfRangeError, None, "beta1 must be in (0, 1), got 0.0")),
     # delta_emitted: shared eta.
     ("delta_emitted-eta-change", lambda: delta_emitted(DeploymentPair(
         Deployment(500.0, 1.0, 3.0, 700.0), Deployment(250.0, 1.0, 3.0, 700.0, eta=2.5),
         HEX)),
-     (UnsupportedParameterChangeError, None, "deployments must share eta, got 2.0 and 2.5")),
+     (OutOfRangeError, None, "deployments must share eta, got 2.0 and 2.5")),
 ]
 
 
@@ -540,6 +544,9 @@ def test_range_rule_outcome(call, expected):
 
 DEP = Deployment(500.0, 1.0, 3.0, 700.0)
 LATTICE = generate_sites(HEX, 500.0, 2)
+#: A hand-built one-site highway whose default region, 1.1 * d_max wide, has
+#: infinite x bounds.
+EDGE_OF_FLOATS = SiteLattice(LayoutKind.HIGHWAY, 1.7e308, np.zeros((1, 2)), np.zeros(1, int))
 
 # (id, call, message): every refusal of a value that a caller passes in.
 REFUSALS = [
@@ -550,24 +557,72 @@ REFUSALS = [
      "n_i must be >= 0, got -1"),
     ("rfp_upper_bound-n_i-not-an-integer", lambda: rfp_upper_bound(DEP, 100.0, HEX, math.nan),
      "n_i must be an integer, got nan"),
+    ("rfp_upper_bound-serving_distance", lambda: rfp_upper_bound(DEP, 0.0, HEX, 6),
+     "serving_distance must be > 0, got 0.0"),
+    ("rfp_upper_bound-serving_distance-nan", lambda: rfp_upper_bound(DEP, math.nan, HEX, 6),
+     "serving_distance must be finite, got nan"),
+    ("rfp_upper_bound-serving_distance-over-the-limit",
+     lambda: rfp_upper_bound(DEP, 500.0, HEX, 6),
+     f"serving_distance=500.0 outside the bound's validity region (0, {HEX.zeta * 500.0}]"),
+    ("rfp_fixed-beta", lambda: rfp_fixed(DEP, HEX, 1.5, NONE), "beta must be in (0, 1], got 1.5"),
+    ("rfp_fixed-beta-zero", lambda: rfp_fixed(DEP, HEX, 0.0, NONE),
+     "beta must be in (0, 1], got 0.0"),
+    ("rfp_fixed-beta-nan", lambda: rfp_fixed(DEP, HEX, math.nan, NONE),
+     "beta must be finite, got nan"),
+    ("received_power-p_e-nan", lambda: received_power(math.nan, 1.0, 3.0, 700.0),
+     "p_e must be finite, got nan"),
+    ("received_power-p_e", lambda: received_power(-1.0, 1.0, 3.0, 700.0),
+     "p_e must be > 0, got -1.0"),
+    ("received_power-distance", lambda: received_power(1.0, 0.0, 3.0, 700.0),
+     "distance must be > 0, got 0.0"),
+    ("received_power-distance-nan", lambda: received_power(1.0, math.nan, 3.0, 700.0),
+     "distance must be finite, got nan"),
+    ("received_power-gamma-nan", lambda: received_power(1.0, 1.0, math.nan, 700.0),
+     "gamma must be finite, got nan"),
+    ("received_power-eta", lambda: received_power(1.0, 1.0, 3.0, 700.0, eta=-1.0),
+     "eta must be >= 0, got -1.0"),
+    ("received_power-eta-nan", lambda: received_power(1.0, 1.0, 3.0, 700.0, eta=math.nan),
+     "eta must be finite, got nan"),
+    ("Scenario-beta1-nan", lambda: scenario(beta1=math.nan), "beta1 must be finite, got nan"),
     ("Region-degenerate", lambda: Region(1.0, 0.0, 0.0, 0.0),
      "degenerate region bounds: Region(x_min=1.0, x_max=0.0, y_min=0.0, y_max=0.0)"),
     ("generate_sites-rings", lambda: generate_sites(HEX, 500.0, 11),
      "rings must be in [1, 10], got 11"),
     ("generate_sites-rings-not-an-integer", lambda: generate_sites(LayoutKind.SQUARE, 500.0, 2.5),
      "rings must be an integer, got 2.5"),
+    ("generate_sites-rings-zero", lambda: generate_sites(HEX, 500.0, 0),
+     "rings must be in [1, 10], got 0"),
     ("generate_sites-float-range", lambda: generate_sites(LayoutKind.HIGHWAY, 1e307, 10),
      "d_max 1e+307 m with 10 rings puts highway sites past the largest float, 1.79769e+308 m"),
     ("compute_field-resolution", lambda: compute_field(LATTICE, DEP, math.inf),
-     "resolution must be finite and > 0, got inf"),
+     "resolution must be finite, got inf"),
+    ("compute_field-resolution-zero", lambda: compute_field(LATTICE, DEP, 0.0),
+     "resolution must be > 0, got 0.0"),
+    ("compute_field-resolution-nan", lambda: compute_field(LATTICE, DEP, math.nan),
+     "resolution must be finite, got nan"),
     ("compute_field-infinite-bound",
      lambda: compute_field(LATTICE, DEP, 5.0, Region(-math.inf, 0.0, 0.0, 0.0)),
-     "region bound x_min must be finite, got -inf"),
+     "x_min must be finite, got -inf"),
+    ("compute_field-infinite-x_max",
+     lambda: compute_field(LATTICE, DEP, 5.0, Region(0.0, math.inf, 0.0, 0.0)),
+     "x_max must be finite, got inf"),
+    ("compute_field-infinite-y_min",
+     lambda: compute_field(LATTICE, DEP, 5.0, Region(0.0, 0.0, -math.inf, 0.0)),
+     "y_min must be finite, got -inf"),
+    ("compute_field-infinite-y_max",
+     lambda: compute_field(LATTICE, DEP, 5.0, Region(0.0, 0.0, 0.0, math.inf)),
+     "y_max must be finite, got inf"),
     ("compute_field-pixel-budget", lambda: compute_field(LATTICE, DEP, 0.1),
      "resolution 0.1 m needs about 1.05e+08 pixels, over the pixel budget "
      "MAX_FIELD_PIXELS = 4194304"),
     ("empirical_alpha-resolution", lambda: empirical_alpha(LATTICE, 6.0),
-     "resolution must be > 0 and <= d_max/100 = 5.0, got 6.0"),
+     "resolution must be <= d_max/100 = 5.0, got 6.0"),
+    ("empirical_alpha-resolution-zero", lambda: empirical_alpha(LATTICE, 0.0),
+     "resolution must be > 0, got 0.0"),
+    ("empirical_alpha-resolution-nan", lambda: empirical_alpha(LATTICE, math.nan),
+     "resolution must be finite, got nan"),
+    ("empirical_alpha-infinite-bound", lambda: empirical_alpha(EDGE_OF_FLOATS, 1.0),
+     "x_min must be finite, got -inf"),
     ("central_alpha-no-usable-pixel",
      lambda: central_alpha(np.array([1]), np.array([5.0]), 1.0, 100.0),
      "resolution 1 m leaves no usable pixel in the central cell (pixels: 1, excluded: 0)"),
@@ -580,10 +635,22 @@ REFUSALS = [
      "seed must be >= 0, got -1"),
     ("estimate_alpha-seed-not-an-integer", lambda: estimate_alpha_monte_carlo(HEX, 1000, 1.5),
      "seed must be an integer, got 1.5"),
+    ("run_validation-mc_samples", lambda: run_validation(mc_samples=999),
+     "n_samples must be >= 1000, got 999"),
+    ("run_validation-seed", lambda: run_validation(seed=-1, mc_samples=1000),
+     "seed must be >= 0, got -1"),
     ("sweep_beta-step", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.1, 0.0),
      "beta_step must be > 0, got 0.0"),
+    ("sweep_beta-step-nan", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.1, math.nan),
+     "beta_step must be finite, got nan"),
+    ("sweep_beta-step-infinite", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.1, math.inf),
+     "beta_step must be finite, got inf"),
+    ("sweep_beta-start", lambda: sweep_beta(S5, HEX, NONE, 0.0, 0.1, 0.01),
+     "beta_start must be > 0, got 0.0"),
+    ("sweep_beta-start-nan", lambda: sweep_beta(S5, HEX, NONE, math.nan, 0.1, 0.01),
+     "beta_start must be finite, got nan"),
     ("sweep_beta-bounds", lambda: sweep_beta(S5, HEX, NONE, 0.1, 0.05, 0.01),
-     "need 0 < beta_start <= beta_end, got [0.1, 0.05]"),
+     "need beta_start <= beta_end, got [0.1, 0.05]"),
     ("sweep_beta-point-budget", lambda: sweep_beta(S5, HEX, NONE, 0.05, 0.1, 1e-9),
      "beta grid [0.05, 0.1] in steps of 1e-09 needs about 5e+07 points, over the point "
      "budget MAX_SWEEP_POINTS = 100000"),
@@ -608,3 +675,11 @@ def test_numpy_integer_counts_pass():
     assert len(generate_sites(HEX, 500.0, np.int64(2)).sites) == 19
     assert rfp_upper_bound(DEP, 100.0, HEX, np.int32(6)) == rfp_upper_bound(DEP, 100.0, HEX, 6)
     assert 0 < estimate_alpha_monte_carlo(HEX, np.int64(1000), np.uint8(1))[0] < 1
+
+
+@pytest.mark.parametrize("name", ["BetaOutOfRangeError", "BoundNotValidError",
+                                  "SingularDistanceError", "UnsupportedParameterChangeError"])
+def test_the_former_refusal_subclasses_are_gone(name):
+    """Every refusal of a value is one type, ``OutOfRangeError``."""
+    assert name not in rfpcompare.__all__
+    assert not hasattr(rfpcompare, name)
