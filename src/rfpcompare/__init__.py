@@ -22,8 +22,7 @@ _EXPORTS = {
                    "Metric", "closed_form_delta", "delta_avg", "delta_emitted", "delta_fixed",
                    "evaluate_pair", "pair_for", "sweep_beta", "verify_closed_forms"),
     "errors": ("NoTessellationError", "OutOfRangeError", "PlausibilityWarning", "RfpError",
-               "ScenarioError", "ScenarioSchemaError", "ScenarioSyntaxError",
-               "ScenarioValidationError"),
+               "ScenarioError"),
     "geometry": ("LayoutKind", "TESSELLATING_KINDS", "cell_contains"),
     "gridsim": ("Region", "RfpField", "SiteLattice", "central_alpha", "compute_field",
                 "default_region", "empirical_alpha", "export_field_csv", "field_bands",

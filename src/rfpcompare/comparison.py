@@ -13,8 +13,8 @@ from enum import Enum
 from ._record import record
 from .errors import OutOfRangeError
 from .geometry import LayoutKind, TESSELLATING_KINDS
-from .propagation import (Deployment, NeighborMode, _bracket, _power, in_deployment,
-                          neighbor_count, range_violations, refuse)
+from .propagation import (Deployment, NeighborMode, _bracket, _in_float_range, _power,
+                          in_deployment, neighbor_count, range_violations, refuse)
 from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
 #: Relative tolerance for closed-form vs general-formula agreement.
@@ -79,37 +79,40 @@ def delta_emitted(pair: DeploymentPair) -> float:
     """
     d1, d2 = pair.dep1, pair.dep2
     refuse(range_violations(eta=(d1.eta, d2.eta)))
-    return (
+    return _in_float_range(
         _power(pair.delta_d_max, d1.gamma, "delta_emitted: (d_max(1)/d_max(2))**gamma1")
         * _power(d2.d_max, d1.gamma - d2.gamma, "delta_emitted: d_max(2)**(gamma1 - gamma2)")
         * pair.delta_p_r_th
         * _power(pair.delta_f, d1.eta, "delta_emitted: (f(1)/f(2))**eta")
-        * pair.delta_c
-    )
+        * pair.delta_c,
+        "delta_pe = P_E(1)/P_E(2)")
 
 
-def _received_ratio(pair: DeploymentPair, x1: float, x2: float) -> float:
+def _received_ratio(pair: DeploymentPair, x1: float, x2: float, name: str) -> float:
     """Received power at x1 * d_max(1) in deployment (1) over that at
-    x2 * d_max(2) in deployment (2). An overflow names its deployment."""
+    x2 * d_max(2) in deployment (2). An overflow of a power names its
+    deployment, and a ratio outside the float range its ``name``."""
     brackets, n_i = [], neighbor_count(pair.layout, pair.mode)
     for which, x, dep in ((1, x1, pair.dep1), (2, x2, pair.dep2)):
         try:
             brackets.append(_bracket(x, dep.gamma, pair.layout, n_i))
         except OverflowError as exc:
             raise in_deployment(which, exc) from None
-    return pair.delta_p_r_th * brackets[0] / brackets[1]
+    return _in_float_range(pair.delta_p_r_th * brackets[0] / brackets[1], name)
 
 
 def delta_avg(pair: DeploymentPair) -> float:
     """Received-power ratio at each deployment's own average distance: the
     quotient rfp_avg(1) / rfp_avg(2)."""
-    return _received_ratio(pair, pair.layout.alpha, pair.layout.alpha)
+    return _received_ratio(pair, pair.layout.alpha, pair.layout.alpha,
+                           "delta_pr_avg = rfp_avg(1)/rfp_avg(2)")
 
 
 def delta_fixed(pair: DeploymentPair) -> float:
     """Received-power ratio at the same physical distance beta1 * d_max(1):
     the quotient rfp_fixed(1) at beta1 / rfp_fixed(2) at beta2."""
-    return _received_ratio(pair, pair.beta1, pair.beta2)
+    return _received_ratio(pair, pair.beta1, pair.beta2,
+                           "delta_pr_fx = rfp_fixed(1)/rfp_fixed(2)")
 
 
 @record

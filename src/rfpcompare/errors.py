@@ -19,26 +19,9 @@ class NoTessellationError(RfpError):
 
 
 class ScenarioError(RfpError):
-    """Base class for scenario-configuration errors."""
-
-
-class ScenarioSyntaxError(ScenarioError):
-    """Raised when a scenario document is not well-formed JSON (including
-    NaN/Infinity literals, which are rejected)."""
-
-
-class ScenarioSchemaError(ScenarioError):
-    """Raised when a scenario document has missing, unknown, or wrongly typed
-    fields."""
-
-
-class ScenarioValidationError(ScenarioError):
-    """Raised when a scenario document is structurally fine but breaks a value
-    invariant. Carries the offending field path."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        super().__init__(f"{path}: {message}")
+    """Raised when a scenario document is not a valid scenario: malformed JSON
+    (NaN and Infinity literals included), a missing, unknown or wrongly typed
+    field, or a value outside its range, named by its field path."""
 
 
 class PlausibilityWarning(UserWarning):

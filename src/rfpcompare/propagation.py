@@ -181,20 +181,27 @@ def in_deployment(which: int | str, exc: OverflowError) -> OverflowError:
     return OverflowError(f"deployment {which}: {exc}")
 
 
+def _in_float_range(value: float, name: str) -> float:
+    """``value``, a product or quotient of positive floats; an OverflowError
+    names it if it underflowed to 0 or overflowed (NaN is inf times 0)."""
+    if value == 0:
+        raise OverflowError(f"{name} underflows to 0")
+    if not value < math.inf:
+        raise OverflowError(f"{name} overflows a float")
+    return value
+
+
 def emitted_power(dep: Deployment) -> float:
     """Emitted power that makes the received power at d_max exactly p_r_th.
 
-    Raises OverflowError, naming the term, when it exceeds a float.
+    Raises OverflowError, naming the term, when it leaves the float range.
     """
-    p_e = (
+    return _in_float_range(
         dep.p_r_th
         * _power(dep.d_max, dep.gamma, "emitted power: d_max**gamma")
         * _power(dep.f, dep.eta, "emitted power: f**eta")
-        * dep.c
-    )
-    if math.isinf(p_e):
-        raise OverflowError("emitted power: p_r_th * d_max**gamma * f**eta * c overflows a float")
-    return p_e
+        * dep.c,
+        "emitted power: p_r_th * d_max**gamma * f**eta * c")
 
 
 def neighbor_count(layout: LayoutKind, mode: NeighborMode) -> int:

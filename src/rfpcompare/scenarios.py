@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from ._record import record
-from .errors import ScenarioSchemaError, ScenarioSyntaxError, ScenarioValidationError
+from .errors import ScenarioError
 from .geometry import LayoutKind, TESSELLATING_KINDS
 from .propagation import Deployment, NeighborMode, Violation, range_violations, refuse
 
@@ -97,35 +97,35 @@ _TOP_OPTIONAL = ("description", "beta1", "layouts", "modes")
 
 
 def _reject_constant(token: str) -> float:
-    raise ScenarioSyntaxError(f"non-finite number {token!r} is not allowed")
+    raise ScenarioError(f"non-finite number {token!r} is not allowed")
 
 
 def _as_number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioSchemaError(f"{path} must be a number, got {type(value).__name__}")
+        raise ScenarioError(f"{path} must be a number, got {type(value).__name__}")
     return float(value)
 
 
 def _check_keys(obj: dict, required: tuple, optional: tuple, path: str) -> None:
     for key in obj:
         if key not in required and key not in optional:
-            raise ScenarioSchemaError(f"unknown field {path}{key!r}")
+            raise ScenarioError(f"unknown field {path}{key!r}")
     for key in required:
         if key not in obj:
-            raise ScenarioSchemaError(f"missing required field {path}{key!r}")
+            raise ScenarioError(f"missing required field {path}{key!r}")
 
 
 def _refuse_in_document(violations: list[Violation]) -> None:
-    """Raise the first error of ``violations`` as a ScenarioValidationError at
-    its field path."""
+    """Raise the first error of ``violations`` as a ScenarioError that begins
+    with its field path."""
     for v in violations:
         if v.severity == "error":
-            raise ScenarioValidationError(v.path, v.message)
+            raise ScenarioError(f"{v.path}: {v.message}")
 
 
 def _parse_deployment(obj: object, path: str) -> Deployment:
     if not isinstance(obj, dict):
-        raise ScenarioSchemaError(f"{path} must be an object")
+        raise ScenarioError(f"{path} must be an object")
     _check_keys(obj, _DEPLOYMENT_REQUIRED, tuple(_DEPLOYMENT_OPTIONAL), f"{path}.")
     values = {key: _as_number(obj[key], f"{path}.{key}") for key in obj}
     _refuse_in_document(range_violations(fields=[(f"{path}.{key}", value)
@@ -142,18 +142,17 @@ def _parse_deployment(obj: object, path: str) -> Deployment:
 
 def _parse_enum_list(value: object, enum_type, path: str) -> tuple:
     if not isinstance(value, list):
-        raise ScenarioSchemaError(f"{path} must be an array of strings")
+        raise ScenarioError(f"{path} must be an array of strings")
     members = []
     for i, item in enumerate(value):
         if not isinstance(item, str):
-            raise ScenarioSchemaError(f"{path}[{i}] must be a string")
+            raise ScenarioError(f"{path}[{i}] must be a string")
         try:
             members.append(enum_type(item))
         except ValueError:
             valid = ", ".join(m.value for m in enum_type)
-            raise ScenarioValidationError(
-                f"{path}[{i}]", f"invalid value {item!r}; expected one of: {valid}"
-            ) from None
+            raise ScenarioError(f"{path}[{i}]: invalid value {item!r}; "
+                                f"expected one of: {valid}") from None
     return tuple(members)
 
 
@@ -161,25 +160,24 @@ def parse_scenario_file(document: str) -> Scenario:
     """Parse and validate a JSON scenario document.
 
     Parsing is strict (closed-world): unknown fields are rejected rather than
-    ignored, and non-finite numbers are refused. Errors distinguish malformed
-    JSON (ScenarioSyntaxError), structural problems (ScenarioSchemaError), and
-    value-invariant breaches (ScenarioValidationError, with the field path).
+    ignored, and non-finite numbers are refused. Every refusal is a
+    ScenarioError; a value outside its range is named by its field path.
     """
     try:
         data = json.loads(document, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(f"malformed JSON: {exc}") from None
+        raise ScenarioError(f"malformed JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ScenarioSchemaError("top-level value must be an object")
+        raise ScenarioError("top-level value must be an object")
     _check_keys(data, _TOP_REQUIRED, _TOP_OPTIONAL, "")
 
     if not isinstance(data["id"], str):
-        raise ScenarioSchemaError("id must be a string")
+        raise ScenarioError("id must be a string")
     if not data["id"]:
-        raise ScenarioValidationError("id", "must not be empty")
+        raise ScenarioError("id: must not be empty")
     description = data.get("description", "")
     if not isinstance(description, str):
-        raise ScenarioSchemaError("description must be a string")
+        raise ScenarioError("description must be a string")
 
     dep1 = _parse_deployment(data["deployment1"], "deployment1")
     dep2 = _parse_deployment(data["deployment2"], "deployment2")

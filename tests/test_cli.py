@@ -396,6 +396,74 @@ def test_float_overflow_is_an_error_line(run_cli, tmp_path, args, names):
     assert not (tmp_path / "field.csv").exists()
 
 
+#: (1e-110)**3 underflows, so delta_pe computes as 0; delta_pr_fx = 8.944e-164
+#: is a float.
+TINY = {"id": "U", "deployment1": {"d_max_m": 1e-110, "p_r_th": 1, "gamma": 3, "f_mhz": 700},
+        "deployment2": {"d_max_m": 1, "p_r_th": 1, "gamma": 1.5, "f_mhz": 700}}
+#: p_r_th(1)/p_r_th(2) = 1e308: every ratio computes as infinity.
+HUGE = {"id": "V", "deployment1": {"d_max_m": 1e60, "p_r_th": 1e300, "gamma": 6, "f_mhz": 700},
+        "deployment2": {"d_max_m": 1e60, "p_r_th": 1e-8, "gamma": 1.5, "f_mhz": 700}}
+SWEEP = ["--layout", "highway", "--beta-start", "0.05", "--beta-end", "0.1", "--beta-step", "0.05"]
+RECORD_FORMATS = [[], ["--db"], ["--format", "csv"], ["--format", "csv", "--db"],
+                  ["--format", "json"], ["--format", "json", "--db"]]
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON; NaN and Infinity, which JSON does not have, fail."""
+    def refuse(token: str):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("extra", RECORD_FORMATS, ids=" ".join)
+@pytest.mark.parametrize("doc,args,message", [
+    (TINY, ["compare"], "delta_pe = P_E(1)/P_E(2) underflows to 0"),
+    (HUGE, ["compare"], "delta_pe = P_E(1)/P_E(2) overflows a float"),
+    (HUGE, ["sweep", *SWEEP], "delta_pr_fx = rfp_fixed(1)/rfp_fixed(2) overflows a float"),
+], ids=["tiny-compare", "huge-compare", "huge-sweep"])
+def test_a_ratio_outside_the_float_range_is_one_error_line(tmp_path, doc, args, message, extra):
+    """Where 0, inf, JSON's invalid Infinity or a traceback from --db were."""
+    (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke(args[0], "--scenario", str(tmp_path / "doc.json"), *args[1:], *extra)
+    assert (result.exit_code, result.stderr, result.stdout) == (2, f"error: {message}\n", "")
+
+
+@pytest.mark.parametrize("args", [["compare"], ["sweep", *SWEEP]], ids=["compare", "sweep"])
+@pytest.mark.parametrize("doc", [json.dumps(TINY), json.dumps(HUGE), s1_document()],
+                         ids=["tiny", "huge", "S1"])
+def test_json_output_is_strict_json_or_refused(tmp_path, doc, args):
+    """No number that JSON cannot write reaches the output: it parses as strict
+    JSON, or the command is refused with exit 2 and nothing on stdout."""
+    (tmp_path / "doc.json").write_text(doc, encoding="utf-8")
+    result = invoke(args[0], "--scenario", str(tmp_path / "doc.json"), *args[1:],
+                    "--format", "json", "--db")
+    if result.exit_code == 2:
+        assert result.stdout == "" and result.stderr.startswith("error: "), result.stderr
+    else:
+        assert result.exit_code == 0, result.stderr
+        assert strict_json(result.stdout)
+
+
+def test_a_tiny_finite_ratio_is_reported(tmp_path):
+    """TINY's delta_pr_fx, 8.944e-164, is a float: sweep reports it."""
+    (tmp_path / "doc.json").write_text(json.dumps(TINY), encoding="utf-8")
+    result = invoke("sweep", "--scenario", str(tmp_path / "doc.json"), *SWEEP,
+                    "--format", "json", "--db")
+    assert result.exit_code == 0, result.stderr
+    assert [row["delta_pr_fx"] for row in strict_json(result.stdout)] == [
+        8.94427191e-164, 3.16227766e-164]
+
+
+def test_simulate_refuses_an_emitted_power_that_underflows(tmp_path):
+    (tmp_path / "doc.json").write_text(json.dumps(TINY), encoding="utf-8")
+    result = invoke("simulate", "--scenario", str(tmp_path / "doc.json"), "--layout", "highway",
+                    "--out", str(tmp_path / "field.csv"))
+    assert result.exit_code == 2
+    assert result.stderr == ("error: deployment 1: emitted power: "
+                             "p_r_th * d_max**gamma * f**eta * c underflows to 0\n")
+    assert result.stdout == "" and not (tmp_path / "field.csv").exists()
+
+
 # -- simulate ------------------------------------------------------------------
 
 

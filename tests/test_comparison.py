@@ -147,6 +147,42 @@ def test_delta_emitted_rejects_eta_change():
         delta_emitted(pair)
 
 
+def pair_of(dep1: tuple, dep2: tuple) -> DeploymentPair:
+    return DeploymentPair(Deployment(*dep1), Deployment(*dep2), LayoutKind.HIGHWAY)
+
+
+#: (1e-110)**3 underflows, so delta_pe is 0 while delta_pr_fx is a float.
+TINY = pair_of((1e-110, 1.0, 3.0, 700.0), (1.0, 1.0, 1.5, 700.0))
+#: p_r_th(1)/p_r_th(2) = 1e308 and 64/2.8 past it: every ratio overflows.
+HUGE = pair_of((1e60, 1e300, 6.0, 700.0), (1e60, 1e-8, 1.5, 700.0))
+#: p_r_th(1)/p_r_th(2) = 1e-600 underflows, so every ratio is 0.
+ZERO = pair_of((500.0, 1e-300, 3.0, 700.0), (500.0, 1e300, 3.0, 700.0))
+
+
+@pytest.mark.parametrize("pair,ratio,message", [
+    (TINY, delta_emitted, "delta_pe = P_E(1)/P_E(2) underflows to 0"),
+    (HUGE, delta_emitted, "delta_pe = P_E(1)/P_E(2) overflows a float"),
+    (HUGE, delta_avg, "delta_pr_avg = rfp_avg(1)/rfp_avg(2) overflows a float"),
+    (HUGE, delta_fixed, "delta_pr_fx = rfp_fixed(1)/rfp_fixed(2) overflows a float"),
+    (ZERO, delta_emitted, "delta_pe = P_E(1)/P_E(2) underflows to 0"),
+    (ZERO, delta_avg, "delta_pr_avg = rfp_avg(1)/rfp_avg(2) underflows to 0"),
+    (ZERO, delta_fixed, "delta_pr_fx = rfp_fixed(1)/rfp_fixed(2) underflows to 0"),
+], ids=["tiny-pe", "huge-pe", "huge-pr_avg", "huge-pr_fx", "zero-pe", "zero-pr_avg",
+        "zero-pr_fx"])
+def test_a_ratio_outside_the_float_range_is_refused(pair, ratio, message):
+    """A ratio that computes as 0 or infinity is refused, naming it, instead of
+    being reported as 0 or inf."""
+    with pytest.raises(OverflowError) as refused:
+        ratio(pair)
+    assert str(refused.value) == message
+
+
+def test_a_tiny_finite_ratio_stays_valid():
+    """delta_pr_fx = 0.05**-3 / (0.05e-110)**-1.5 = 8.944e-164 is a float."""
+    assert delta_fixed(TINY) == pytest.approx(0.05**-1.5 * 1e-165, rel=1e-12)
+    assert delta_avg(TINY) == pytest.approx(2**1.5, rel=1e-12)
+
+
 # -- average-distance ratio ----------------------------------------------------
 
 

@@ -68,11 +68,21 @@ def test_emitted_power_examples():
     (Deployment(1e100, 1.0, 6.0, 700.0), "emitted power: d_max**gamma = 1e+100**6 "),
     # Each power is finite; their product is not.
     (Deployment(1e150, 1.0, 2.0, 1e6), "emitted power: p_r_th * d_max**gamma * f**eta * c "),
-], ids=["power", "product"])
+    # p_r_th * d_max**gamma overflows, f**eta underflows to 0: inf * 0 is NaN.
+    (Deployment(1e150, 1e10, 2.0, 1e-200), "emitted power: p_r_th * d_max**gamma * f**eta * c "),
+], ids=["power", "product", "inf-times-0"])
 def test_emitted_power_overflow_names_the_term(dep, message):
     with pytest.raises(OverflowError) as info:
         emitted_power(dep)
     assert str(info.value) == message + "overflows a float"
+
+
+def test_emitted_power_refuses_an_underflow_to_zero():
+    """(1e-110)**3 underflows to 0: a zero emitted power is refused like an
+    infinite one."""
+    with pytest.raises(OverflowError) as info:
+        emitted_power(Deployment(1e-110, 1.0, 3.0, 700.0))
+    assert str(info.value) == "emitted power: p_r_th * d_max**gamma * f**eta * c underflows to 0"
 
 
 def test_edge_closure_for_randomized_deployments():
