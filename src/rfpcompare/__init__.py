@@ -19,8 +19,9 @@ DEFAULT_MC_SAMPLES = 2_000_000
 #: to any of its names.
 _EXPORTS = {
     "comparison": ("CLOSED_FORM_RTOL", "ClosedFormCheck", "ComparisonResult", "DeploymentPair",
-                   "Metric", "closed_form_delta", "delta_avg", "delta_emitted", "delta_fixed",
-                   "evaluate_pair", "pair_for", "sweep_beta", "verify_closed_forms"),
+                   "Metric", "closed_form_delta", "cross_check", "delta_avg", "delta_emitted",
+                   "delta_fixed", "evaluate_pair", "pair_for", "sweep_beta",
+                   "verify_closed_forms"),
     "errors": ("NoTessellationError", "OutOfRangeError", "PlausibilityWarning", "RfpError",
                "ScenarioError"),
     "geometry": ("LayoutKind", "TESSELLATING_KINDS", "cell_contains"),
@@ -28,8 +29,8 @@ _EXPORTS = {
                 "default_region", "empirical_alpha", "export_field_csv", "field_bands",
                 "generate_sites", "verify_upper_bound"),
     "propagation": ("Deployment", "GAMMA_PLAUSIBLE_RANGE", "NeighborMode", "Violation",
-                    "emitted_power", "in_deployment", "received_power", "rfp_avg", "rfp_fixed",
-                    "rfp_upper_bound"),
+                    "emitted_power", "evaluable", "in_deployment", "received_power", "rfp_avg",
+                    "rfp_fixed", "rfp_upper_bound"),
     "scenarios": ("DEFAULT_BETA1", "Scenario", "builtin_scenario", "builtin_scenario_ids",
                   "parse_scenario_file", "validate_scenario"),
     "selfcheck": ("CheckResult", "estimate_alpha_monte_carlo", "run_validation"),

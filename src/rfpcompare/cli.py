@@ -7,8 +7,8 @@ Results go to standard output (or ``--out``), diagnostics to the error stream.
 ``compare`` and ``sweep`` render their records through one emitter: the table
 shows numbers to 4 significant digits, CSV and JSON to 9. Ratios are linear;
 ``--db`` adds a ``*_db`` column (10*log10) after each ratio column. Closed-form
-columns are empty in the table and CSV, and ``null`` in JSON, when the
-scenario is not a built-in.
+columns are empty in the table and CSV, and ``null`` in JSON, unless the
+scenario's deployments are those of the built-in of its id.
 """
 
 from __future__ import annotations
@@ -174,14 +174,6 @@ def _emit_records(fmt: str, out: str | None, headers: list[str], rows: list[list
     _emit(["".join(line.rstrip() + "\n" for line in aligned)], out)
 
 
-def _scenario_is_builtin(scenario: Scenario) -> bool:
-    """Closed forms apply iff the deployment parameters match a built-in set."""
-    if scenario.id not in builtin_scenario_ids():
-        return False
-    reference = builtin_scenario(scenario.id)
-    return scenario.dep1 == reference.dep1 and scenario.dep2 == reference.dep2
-
-
 def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out, show_db):
     """Evaluate the three deployment ratios for a scenario.
 
@@ -203,7 +195,6 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     else:
         modes = (NeighborMode.ADJACENT,) if neighbors == "on" else (NeighborMode.NONE,)
     beta1 = scenario.beta1 if beta is None else beta
-    has_closed_form = _scenario_is_builtin(scenario)
 
     ratio_keys = [f"delta_{m.value}" for m in Metric]
     headers = ["scenario", "layout", "mode", *ratio_keys]
@@ -212,25 +203,19 @@ def compare(scenario_source, layout_name, all_layouts, neighbors, beta, fmt, out
     headers += [f"closed_{m.value}" for m in Metric] + ["max_rel_diff"]
 
     rows, objects = [], []
-    for layout in layouts:
-        for mode in modes:
-            if mode is NeighborMode.ADJACENT and not layout.tessellates:
-                continue
-            pair = DeploymentPair(scenario.dep1, scenario.dep2, layout, beta1, mode)
-            result = evaluate_pair(pair, scenario_id=scenario.id)
-            ratios = [result.get(m) for m in Metric]
-            closed = rel_diff = None
-            if has_closed_form:
-                closed = [closed_form_delta(scenario.id, m, layout, mode, beta1) for m in Metric]
-                rel_diff = max(abs(c - r) / abs(r) for c, r in zip(closed, ratios))
-            if show_db:
-                ratios += [_db(r) for r in ratios]
-            row = [scenario.id, layout.value, mode.value, *ratios]
-            obj = dict(zip(headers, row))
-            obj["closed_form"] = None if closed is None else dict(zip(ratio_keys, closed))
-            obj["relative_difference"] = rel_diff
-            rows.append(row + (closed or [None] * 3) + [rel_diff])
-            objects.append(obj)
+    for layout, mode in evaluable(layouts, modes):
+        result, checks = cross_check(scenario, layout, mode, beta1)
+        ratios = [result.get(m) for m in Metric]
+        closed = [c.closed_form for c in checks]
+        rel_diff = max((c.relative_error for c in checks), default=None)
+        if show_db:
+            ratios += [_db(r) for r in ratios]
+        row = [scenario.id, layout.value, mode.value, *ratios]
+        obj = dict(zip(headers, row))
+        obj["closed_form"] = dict(zip(ratio_keys, closed)) if checks else None
+        obj["relative_difference"] = rel_diff
+        rows.append(row + (closed or [None] * 3) + [rel_diff])
+        objects.append(obj)
     if not rows:
         _fail("nothing to evaluate (empty layout/mode selection)")
     _emit_records(fmt, out, headers, rows, objects)

@@ -8,13 +8,15 @@ scale; a ratio above 1 means deployment (2) yields the lower value.
 
 from __future__ import annotations
 
+import math
+import sys
 from enum import Enum
 
 from ._record import record
 from .errors import OutOfRangeError
 from .geometry import LayoutKind, TESSELLATING_KINDS
 from .propagation import (Deployment, NeighborMode, _bracket, _in_float_range, _power,
-                          in_deployment, neighbor_count, range_violations, refuse)
+                          evaluable, in_deployment, neighbor_count, range_violations, refuse)
 from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
 #: Relative tolerance for closed-form vs general-formula agreement.
@@ -54,14 +56,6 @@ class DeploymentPair:
     def delta_p_r_th(self) -> float:
         return self.dep1.p_r_th / self.dep2.p_r_th
 
-    @property
-    def delta_f(self) -> float:
-        return self.dep1.f / self.dep2.f
-
-    @property
-    def delta_c(self) -> float:
-        return self.dep1.c / self.dep2.c
-
 
 class Metric(Enum):
     """The three reported ratios."""
@@ -76,16 +70,26 @@ def delta_emitted(pair: DeploymentPair) -> float:
 
     Requires a common frequency exponent eta; the product form below is
     algebraically identical to emitted_power(dep1) / emitted_power(dep2).
+    Where a factor or a partial product leaves the float range, the ratio is
+    the exponential of the sum of the logarithms of both deployments' own
+    parameters, and refused only if that leaves the range too.
     """
     d1, d2 = pair.dep1, pair.dep2
     refuse(range_violations(eta=(d1.eta, d2.eta)))
-    return _in_float_range(
-        _power(pair.delta_d_max, d1.gamma, "delta_emitted: (d_max(1)/d_max(2))**gamma1")
-        * _power(d2.d_max, d1.gamma - d2.gamma, "delta_emitted: d_max(2)**(gamma1 - gamma2)")
-        * pair.delta_p_r_th
-        * _power(pair.delta_f, d1.eta, "delta_emitted: (f(1)/f(2))**eta")
-        * pair.delta_c,
-        "delta_pe = P_E(1)/P_E(2)")
+    try:
+        return _in_float_range(
+            _power(pair.delta_d_max, d1.gamma, "delta_emitted: (d_max(1)/d_max(2))**gamma1")
+            * _power(d2.d_max, d1.gamma - d2.gamma, "delta_emitted: d_max(2)**(gamma1 - gamma2)")
+            * pair.delta_p_r_th
+            * _power(d1.f / d2.f, d1.eta, "delta_emitted: (f(1)/f(2))**eta")
+            * (d1.c / d2.c),
+            "delta_pe = P_E(1)/P_E(2)")
+    except OverflowError:
+        log_ratio = math.fsum(sign * term for sign, d in ((1, d1), (-1, d2)) for term in (
+            math.log(d.p_r_th), d.gamma * math.log(d.d_max), d.eta * math.log(d.f), math.log(d.c)))
+        if log_ratio <= math.log(sys.float_info.max) and (ratio := math.exp(log_ratio)) > 0:
+            return ratio
+        raise
 
 
 def _received_ratio(pair: DeploymentPair, x1: float, x2: float, name: str) -> float:
@@ -127,11 +131,7 @@ class ComparisonResult:
     delta_pr_fx: float
 
     def get(self, metric: Metric) -> float:
-        if metric is Metric.PE:
-            return self.delta_pe
-        if metric is Metric.PR_AVG:
-            return self.delta_pr_avg
-        return self.delta_pr_fx
+        return getattr(self, f"delta_{metric.value}")
 
 
 def evaluate_pair(pair: DeploymentPair, scenario_id: str = "") -> ComparisonResult:
@@ -224,6 +224,35 @@ class ClosedFormCheck:
         return self.relative_error <= CLOSED_FORM_RTOL
 
 
+def _scenario_is_builtin(scenario: Scenario) -> bool:
+    """Closed forms apply iff the deployment parameters match a built-in set."""
+    if scenario.id not in builtin_scenario_ids():
+        return False
+    reference = builtin_scenario(scenario.id)
+    return scenario.dep1 == reference.dep1 and scenario.dep2 == reference.dep2
+
+
+def cross_check(
+    scenario: Scenario, layout: LayoutKind, mode: NeighborMode, beta1: float
+) -> tuple[ComparisonResult, list[ClosedFormCheck]]:
+    """The three ratios of ``scenario`` from the general formulas, and one check
+    per metric of each against its closed form.
+
+    The closed forms apply only where both deployments equal those of the
+    built-in scenario of the same id; for any other scenario the checks are
+    empty.
+    """
+    result = evaluate_pair(pair_for(scenario, layout, mode, beta1), scenario_id=scenario.id)
+    checks = []
+    if _scenario_is_builtin(scenario):
+        for metric in Metric:
+            general = result.get(metric)
+            closed = closed_form_delta(scenario.id, metric, layout, mode, beta1)
+            checks.append(ClosedFormCheck(scenario.id, metric, layout, mode, beta1, closed,
+                                          general, abs(closed - general) / abs(general)))
+    return result, checks
+
+
 def verify_closed_forms(
     layouts: tuple[LayoutKind, ...] | list[LayoutKind] = TESSELLATING_KINDS,
     modes: tuple[NeighborMode, ...] | list[NeighborMode] = tuple(NeighborMode),
@@ -231,38 +260,15 @@ def verify_closed_forms(
 ) -> list[ClosedFormCheck]:
     """Compare every closed form against the general formulas.
 
-    Iterates scenarios x metrics x layouts x modes x beta1 values in a fixed
-    sorted order and records the relative error of each pair of evaluations.
-    The circle layout is only evaluable in neighbor-free mode; its
-    adjacent-mode combinations are skipped.
+    Iterates the built-in scenarios x layouts x modes x beta1 values x
+    metrics, each in its given order, and records the relative error of each
+    pair of evaluations. The (layout, mode) pairs are those ``evaluable``
+    keeps: the circle in adjacent mode is skipped.
     """
-    checks: list[ClosedFormCheck] = []
-    for sid in builtin_scenario_ids():
-        s = builtin_scenario(sid)
-        for layout in layouts:
-            for mode in modes:
-                if mode is NeighborMode.ADJACENT and not layout.tessellates:
-                    continue
-                for beta1 in beta1_values:
-                    pair = DeploymentPair(s.dep1, s.dep2, layout, beta1, mode)
-                    result = evaluate_pair(pair, scenario_id=sid)
-                    for metric in Metric:
-                        general = result.get(metric)
-                        closed = closed_form_delta(sid, metric, layout, mode, beta1)
-                        rel = abs(closed - general) / abs(general)
-                        checks.append(
-                            ClosedFormCheck(
-                                scenario_id=sid,
-                                metric=metric,
-                                layout_kind=layout,
-                                mode=mode,
-                                beta1=beta1,
-                                closed_form=closed,
-                                general=general,
-                                relative_error=rel,
-                            )
-                        )
-    return checks
+    return [check for scenario in map(builtin_scenario, builtin_scenario_ids())
+            for layout, mode in evaluable(layouts, modes)
+            for beta1 in beta1_values
+            for check in cross_check(scenario, layout, mode, beta1)[1]]
 
 
 def pair_for(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from enum import Enum
 
 from ._record import record
@@ -97,7 +97,7 @@ def range_violations(
     d_max: tuple[float, float] | None = None,
     eta: tuple[float, float] | None = None,
     layouts: Iterable[LayoutKind] = (),
-    modes: Iterable[NeighborMode] = (),
+    modes: Sequence[NeighborMode] = (),
 ) -> list[Violation]:
     """The findings of every range rule that the given inputs reach: errors in
     rule order, then warnings. This is the one place each rule is written.
@@ -123,7 +123,7 @@ def range_violations(
     elif d_max is not None and not 0 < (beta2 := beta1 * d_max[0] / d_max[1]) <= 1:
         found.append(("beta_out_of_range", "beta1", f"beta1 = {beta1:.6g} gives beta2 = "
                       f"beta1 * d_max(1)/d_max(2) = {beta2:.6g}, outside (0, 1]"))
-    if LayoutKind.CIRCLE in layouts and NeighborMode.ADJACENT in modes:
+    if not all(_evaluable(layout, mode) for layout in layouts for mode in modes):
         found.append(("no_tessellation", "layouts",
                       "the circle layout cannot be evaluated in adjacent-neighbor mode"))
     if eta is not None and eta[0] != eta[1]:
@@ -152,6 +152,19 @@ class NeighborMode(Enum):
 
     NONE = "none"
     ADJACENT = "adjacent"
+
+
+def _evaluable(layout: LayoutKind, mode: NeighborMode) -> bool:
+    """Whether ``layout`` has ratios in ``mode``: the circle, which does not
+    tile, has no adjacent neighbors."""
+    return layout.tessellates or mode is NeighborMode.NONE
+
+
+def evaluable(layouts: Iterable[LayoutKind],
+              modes: Sequence[NeighborMode]) -> list[tuple[LayoutKind, NeighborMode]]:
+    """The (layout, mode) pairs that can be evaluated, layout by layout in the
+    order of ``modes``: all but the circle in adjacent mode."""
+    return [(layout, mode) for layout in layouts for mode in modes if _evaluable(layout, mode)]
 
 
 def received_power(

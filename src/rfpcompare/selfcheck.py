@@ -167,22 +167,14 @@ class CheckResult:
 
 
 def _closed_form_checks() -> list[CheckResult]:
-    checks = verify_closed_forms()
-    results = []
+    """One result per built-in scenario and metric, over every layout and mode."""
     by_key: dict[tuple[str, str], list] = {}
-    for c in checks:
+    for c in verify_closed_forms():
         by_key.setdefault((c.scenario_id, c.metric.value), []).append(c)
-    for (sid, metric), group in sorted(by_key.items()):
-        worst = max(g.relative_error for g in group)
-        results.append(
-            CheckResult(
-                family="closed-form",
-                name=f"{sid}/{metric}",
-                passed=all(g.passed for g in group),
-                detail=f"max relative error {worst:.3e} (tol {CLOSED_FORM_RTOL:.0e})",
-            )
-        )
-    return results
+    return [CheckResult("closed-form", f"{sid}/{metric}", all(g.passed for g in group),
+                        f"max relative error {max(g.relative_error for g in group):.3e} "
+                        f"(tol {CLOSED_FORM_RTOL:.0e})")
+            for (sid, metric), group in sorted(by_key.items())]
 
 
 def _geometry_checks(seed: int, mc_samples: int) -> list[CheckResult]:

@@ -165,6 +165,54 @@ def test_compare_scenario_file_matches_builtin(tmp_path):
     assert from_file.output == from_builtin.output
 
 
+#: The built-in S2 as a JSON scenario document.
+S2_DOCUMENT = {"id": "S2",
+               "deployment1": {"d_max_m": 500, "p_r_th": 1, "gamma": 3, "f_mhz": 700},
+               "deployment2": {"d_max_m": 100, "p_r_th": 1, "gamma": 2.1, "f_mhz": 700}}
+
+
+def test_compare_document_with_a_builtins_deployments_prints_its_closed_forms(tmp_path):
+    (tmp_path / "s2.json").write_text(json.dumps(S2_DOCUMENT), encoding="utf-8")
+    for fmt in ("table", "csv", "json"):
+        from_file = invoke("compare", "--scenario", str(tmp_path / "s2.json"), "--format", fmt)
+        assert from_file.exit_code == 0, from_file.stderr
+        assert from_file.stdout == invoke("compare", "--scenario", "S2", "--format", fmt).stdout
+    assert all(row["closed_form"] is not None for row in json.loads(from_file.stdout))
+
+
+def test_compare_document_with_a_builtins_id_only_has_no_closed_forms(tmp_path):
+    """Id S2 with deployment (2)'s threshold doubled: the closed-form cells are
+    empty in the table and CSV, and null in JSON."""
+    doc = {**S2_DOCUMENT, "deployment2": {**S2_DOCUMENT["deployment2"], "p_r_th": 2}}
+    (tmp_path / "s2.json").write_text(json.dumps(doc), encoding="utf-8")
+    args = ("compare", "--scenario", str(tmp_path / "s2.json"), "--layout", "hexagonal")
+    table = invoke(*args)
+    assert table.exit_code == 0, table.stderr
+    rows = table_cells(table.stdout)
+    assert len(rows) == 2 and all(set(row) == {"scenario", "layout", "mode", "delta_pe",
+                                               "delta_pr_avg", "delta_pr_fx"} for row in rows)
+    csv_lines = invoke(*args, "--format", "csv").stdout.splitlines()
+    assert csv_lines[0].endswith(",closed_pe,closed_pr_avg,closed_pr_fx,max_rel_diff")
+    assert all(line.endswith(",,,,") for line in csv_lines[1:]) and len(csv_lines) == 3
+    for obj in json.loads(invoke(*args, "--format", "json").stdout):
+        assert obj["closed_form"] is None and obj["relative_difference"] is None
+
+
+def test_compare_reports_an_emitted_power_ratio_whose_factors_overflow(tmp_path):
+    """(d_max(1)/d_max(2))**gamma1 * d_max(2)**(gamma1 - gamma2) is 1e400, but
+    P_E(1)/P_E(2) = 1e100 is a float."""
+    doc = {"id": "FE", "beta1": 1e-60,
+           "deployment1": {"d_max_m": 1e150, "p_r_th": 1e-150, "gamma": 4, "f_mhz": 700},
+           "deployment2": {"d_max_m": 1e100, "p_r_th": 1e150, "gamma": 2, "f_mhz": 700}}
+    (tmp_path / "fe.json").write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke("compare", "--scenario", str(tmp_path / "fe.json"), "--layout", "hexagonal",
+                    "--neighbors", "off", "--format", "json")
+    assert result.exit_code == 0, result.stderr
+    [obj] = strict_json(result.stdout)
+    assert obj["delta_pe"] == pytest.approx(1e100, rel=1e-9)
+    assert (obj["delta_pr_avg"], obj["delta_pr_fx"]) == (2.70528026e-300, 1e-80)
+
+
 def test_compare_writes_output_file(tmp_path):
     out = tmp_path / "report.csv"
     result = invoke("compare", "--scenario", "S3", "--format", "csv", "--out", str(out))

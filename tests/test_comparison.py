@@ -22,6 +22,7 @@ from rfpcompare import (
     TESSELLATING_KINDS,
     builtin_scenario,
     closed_form_delta,
+    cross_check,
     delta_avg,
     delta_emitted,
     delta_fixed,
@@ -32,6 +33,7 @@ from rfpcompare import (
     rfp_fixed,
     verify_closed_forms,
 )
+from rfpcompare.scenarios import Scenario
 
 HEX = LayoutKind.HEXAGONAL
 
@@ -175,6 +177,19 @@ def test_a_ratio_outside_the_float_range_is_refused(pair, ratio, message):
     with pytest.raises(OverflowError) as refused:
         ratio(pair)
     assert str(refused.value) == message
+
+
+#: P_E(1)/P_E(2) = 1e-150 * 1e600 / (1e150 * 1e200) = 1e100, though
+#: (d_max(1)/d_max(2))**4 * d_max(2)**2 = 1e400 overflows on the way.
+FE = DeploymentPair(Deployment(1e150, 1e-150, 4.0, 700.0), Deployment(1e100, 1e150, 2.0, 700.0),
+                    HEX, 1e-60)
+
+
+def test_an_emitted_power_ratio_inside_the_float_range_is_reported():
+    """A factor of the product leaves the float range, the ratio does not."""
+    assert delta_emitted(FE) == pytest.approx(1e100, rel=1e-12)
+    assert delta_avg(FE) == pytest.approx(2.70528026e-300, rel=1e-8)
+    assert delta_fixed(FE) == pytest.approx(1e-80, rel=1e-12)
 
 
 def test_a_tiny_finite_ratio_stays_valid():
@@ -361,6 +376,34 @@ def test_closed_form_examples():
 def test_closed_form_unknown_scenario():
     with pytest.raises(ValueError):
         closed_form_delta("S9", Metric.PE, HEX, NeighborMode.NONE)
+
+
+@pytest.mark.parametrize("mode", list(NeighborMode), ids=lambda m: m.value)
+def test_cross_check_checks_each_metric_of_a_builtin(mode):
+    s2 = builtin_scenario("S2")
+    result, checks = cross_check(s2, HEX, mode, 0.05)
+    assert result == evaluate_pair(hex_pair("S2", mode), scenario_id="S2")
+    assert [c.metric for c in checks] == list(Metric)
+    for c in checks:
+        assert (c.scenario_id, c.layout_kind, c.mode, c.beta1) == ("S2", HEX, mode, 0.05)
+        assert c.general == result.get(c.metric)
+        assert c.closed_form == closed_form_delta("S2", c.metric, HEX, mode, 0.05)
+        assert c.relative_error == abs(c.closed_form - c.general) / abs(c.general)
+        assert c.passed
+
+
+@pytest.mark.parametrize("scenario_id", ["S2", "X"])
+def test_cross_check_has_no_checks_for_other_deployments(scenario_id):
+    """An id names a built-in's closed forms only with the built-in's
+    deployments: S2's with deployment (2)'s threshold doubled would be wrong."""
+    s2 = builtin_scenario("S2")
+    dep2 = Deployment(s2.dep2.d_max, 2.0, s2.dep2.gamma, s2.dep2.f)
+    other = Scenario(scenario_id, "", s2.dep1, dep2)
+    result, checks = cross_check(other, HEX, NeighborMode.ADJACENT, 0.05)
+    assert checks == []
+    pair = DeploymentPair(s2.dep1, dep2, HEX, 0.05, NeighborMode.ADJACENT)
+    assert result == evaluate_pair(pair, scenario_id=scenario_id)
+    assert result.delta_pr_avg == pytest.approx(DELTA_AVG_HEX_ADJ["S2"] / 2, rel=1e-9)
 
 
 def test_evaluate_pair_bundles_all_three_ratios():

@@ -18,11 +18,13 @@ from rfpcompare import (
     PlausibilityWarning,
     TESSELLATING_KINDS,
     emitted_power,
+    evaluable,
     received_power,
     rfp_avg,
     rfp_fixed,
     rfp_upper_bound,
 )
+from rfpcompare.propagation import range_violations
 
 SQRT3 = math.sqrt(3.0)
 HEX = LayoutKind.HEXAGONAL
@@ -205,6 +207,24 @@ def test_rfp_avg_circle_works_without_neighbors_only():
     )
     with pytest.raises(NoTessellationError):
         rfp_avg(dep, circle, NeighborMode.ADJACENT)
+
+
+def test_evaluable_keeps_layout_then_mode_order():
+    square, circle = LayoutKind.SQUARE, LayoutKind.CIRCLE
+    none, adjacent = NeighborMode.NONE, NeighborMode.ADJACENT
+    assert evaluable((square, circle, HEX), (adjacent, none)) == [
+        (square, adjacent), (square, none), (circle, none), (HEX, adjacent), (HEX, none)]
+    assert evaluable((), (none,)) == evaluable((HEX,), ()) == []
+
+
+@pytest.mark.parametrize("layout", list(LayoutKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("mode", list(NeighborMode), ids=lambda m: m.value)
+def test_evaluable_skips_the_circle_in_adjacent_mode_only(layout, mode):
+    """The pairs that evaluable drops are the ones the range rules refuse."""
+    skipped = layout is LayoutKind.CIRCLE and mode is NeighborMode.ADJACENT
+    assert evaluable((layout,), (mode,)) == ([] if skipped else [(layout, mode)])
+    refused = [v.code for v in range_violations(layouts=(layout,), modes=(mode,))]
+    assert refused == (["no_tessellation"] if skipped else [])
 
 
 def test_rfp_fixed_examples():
