@@ -24,7 +24,7 @@ _EXPORTS = {
                    "verify_closed_forms"),
     "errors": ("NoTessellationError", "OutOfRangeError", "PlausibilityWarning", "RfpError",
                "ScenarioError"),
-    "geometry": ("LayoutKind", "TESSELLATING_KINDS", "cell_contains"),
+    "geometry": ("LayoutKind", "TESSELLATING_KINDS", "contains_mask"),
     "gridsim": ("Region", "RfpField", "SiteLattice", "central_alpha", "compute_field",
                 "default_region", "empirical_alpha", "export_field_csv", "field_bands",
                 "generate_sites", "verify_upper_bound"),

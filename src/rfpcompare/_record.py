@@ -21,16 +21,17 @@ def record(cls=None, /, *, eq: bool = True):
     """Make ``cls`` a frozen record of its annotated fields.
 
     The constructor takes the fields, in order, positionally or by keyword; a
-    class attribute of a field's name is its default. A missing, unknown or
-    repeated argument raises ``TypeError``. ``__post_init__``, if defined,
+    class attribute of a field's name is its default, and ``_field_defaults``
+    maps those fields to their defaults, as on a named tuple. A missing, unknown
+    or repeated argument raises ``TypeError``. ``__post_init__``, if defined,
     runs after the fields are set. Assigning or deleting an attribute raises
     ``AttributeError``. Passing every field positionally is the quickest call:
     keywords cost a dict. The repr is ``Name(field=value!r, ...)``. With
     ``eq=True`` instances compare and hash by their field tuple (only against
     the same class); with ``eq=False`` by identity. ``copy`` and ``pickle``
-    restore the fields without calling ``__post_init__``, as they did for a
-    data class, and instances take weak references. The fields are slots, so
-    the class returned is a new class built from ``cls``'s namespace.
+    restore the fields without calling ``__post_init__``, as they did for a data
+    class, and instances take weak references. The fields are slots, so the
+    class returned is a new class built from ``cls``'s namespace.
     """
     if cls is None:
         return lambda cls: record(cls, eq=eq)
@@ -110,7 +111,8 @@ def record(cls=None, /, *, eq: bool = True):
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
     cls = type(cls)(cls.__name__, cls.__bases__,
-                    {**body, "__slots__": (*names, "__weakref__"), "__qualname__": qualname})
+                    {**body, "__slots__": (*names, "__weakref__"), "__qualname__": qualname,
+                     "_field_defaults": defaults})
     setter = {name: cls.__dict__[name].__set__ for name in names}
     setters = tuple(setter.values())
     return cls

@@ -15,7 +15,7 @@ from enum import Enum
 from ._record import record
 from .errors import OutOfRangeError
 from .geometry import LayoutKind, TESSELLATING_KINDS
-from .propagation import (Deployment, NeighborMode, _bracket, _in_float_range, _power,
+from .propagation import (Deployment, NeighborMode, _bracket, _in_float_range, _power, beta2,
                           evaluable, in_deployment, neighbor_count, range_violations, refuse)
 from .scenarios import Scenario, builtin_scenario, builtin_scenario_ids
 
@@ -46,7 +46,7 @@ class DeploymentPair:
 
     @property
     def beta2(self) -> float:
-        return self.beta1 * self.dep1.d_max / self.dep2.d_max
+        return beta2(self.beta1, self.dep1.d_max, self.dep2.d_max)
 
     @property
     def delta_d_max(self) -> float:

@@ -88,7 +88,8 @@ TESSELLATING_KINDS = tuple(_TILING)
 
 
 def contains_mask(kind: LayoutKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized membership test for the unit cell (boundary included)."""
+    """Whether each point (x, y), in units of d_max with the site at the origin,
+    lies in the unit cell, boundary included; scalars give a 0-d array."""
     import numpy as np
     kind = LayoutKind(kind)
     x = np.asarray(x, dtype=float)
@@ -121,12 +122,6 @@ def _hexagon_mask(x: np.ndarray, y: np.ndarray, t: np.ndarray, flag: np.ndarray,
     np.less_equal(t, _SQRT3, out=out)
     np.less_equal(y, _SQRT3 / 2.0, out=flag)
     return np.logical_and(out, flag, out=out)
-
-
-def cell_contains(kind: LayoutKind, point: tuple[float, float]) -> bool:
-    """True iff ``point`` (in units of d_max, site at the origin) lies in the cell."""
-    x, y = point
-    return bool(contains_mask(kind, float(x), float(y)))
 
 
 #: Tight bounding box ((x_lo, x_hi), (y_lo, y_hi)) of each unit cell.

@@ -74,6 +74,21 @@ RANGES = {
 }
 
 
+#: How far above 1 a computed beta2 may lie and still be 1: four ulps of 1.
+#: Rounding beta1, d_max(1) and d_max(2) to floats, then the product and the
+#: quotient, each moves the ratio by at most 2**-53, half an ulp: 2.5 in all.
+BETA2_TOLERANCE = 4 * math.ulp(1.0)
+
+
+def beta2(beta1: float, d_max1: float, d_max2: float) -> float:
+    """Deployment (2)'s fixed point beta1 * d_max(1)/d_max(2): the distance
+    beta1 * d_max(1) as a fraction of d_max(2). A value at most
+    ``BETA2_TOLERANCE`` above 1 is 1: the lengths 152.4 m and 30.48 m (500 ft
+    and 100 ft) with beta1 = 0.2 give 1 + 2.2e-16."""
+    fixed = beta1 * d_max1 / d_max2
+    return 1.0 if 1.0 < fixed <= 1.0 + BETA2_TOLERANCE else fixed
+
+
 def _field_error(path: str, value) -> tuple[str, str, str] | None:
     """(code, path, message) of the ``RANGES`` rule of the path's last
     component, if ``value`` breaks it."""
@@ -105,10 +120,10 @@ def range_violations(
     ``fields`` are (path, value) pairs, each checked against the ``RANGES``
     entry of the path's last component; a gamma outside
     ``GAMMA_PLAUSIBLE_RANGE`` draws a warning. ``beta1`` is such a field, and
-    when ``d_max`` = (d_max(1), d_max(2)) comes with it, deployment (2)'s
-    matching fixed point beta2 = beta1 * d_max(1)/d_max(2) must lie in
-    (0, 1]. The two values of ``eta`` must be equal. The circle layout, which
-    does not tile, must not meet the adjacent-neighbor mode.
+    when ``d_max`` = (d_max(1), d_max(2)) comes with it, ``beta2(beta1,
+    *d_max)`` must lie in (0, 1]. The two values of ``eta`` must be equal.
+    The circle layout, which does not tile, must not meet the adjacent-neighbor
+    mode.
     """
     found, warned = [], []
     lo, hi = GAMMA_PLAUSIBLE_RANGE
@@ -120,9 +135,11 @@ def range_violations(
                                     f"is outside the plausible range [{lo}, {hi}]"))
     if beta1 is not None and (error := _field_error("beta1", beta1)):
         found.append(error)
-    elif d_max is not None and not 0 < (beta2 := beta1 * d_max[0] / d_max[1]) <= 1:
+    elif d_max is not None and not 0 < (fixed := beta2(beta1, *d_max)) <= 1:
+        # Six digits, unless they would read as the 1 that is allowed.
+        shown = f"{fixed:.6g}" if f"{fixed:.6g}" != "1" else repr(fixed)
         found.append(("beta_out_of_range", "beta1", f"beta1 = {beta1:.6g} gives beta2 = "
-                      f"beta1 * d_max(1)/d_max(2) = {beta2:.6g}, outside (0, 1]"))
+                      f"beta1 * d_max(1)/d_max(2) = {shown}, outside (0, 1]"))
     if not all(_evaluable(layout, mode) for layout in layouts for mode in modes):
         found.append(("no_tessellation", "layouts",
                       "the circle layout cannot be evaluated in adjacent-neighbor mode"))

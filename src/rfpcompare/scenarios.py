@@ -16,9 +16,6 @@ from .errors import ScenarioError
 from .geometry import LayoutKind, TESSELLATING_KINDS
 from .propagation import Deployment, NeighborMode, Violation, range_violations, refuse
 
-_DEFAULT_LAYOUTS = TESSELLATING_KINDS
-_DEFAULT_MODES = (NeighborMode.NONE, NeighborMode.ADJACENT)
-
 #: Default fixed-distance fraction: 25 m from the site in a 500 m cell.
 DEFAULT_BETA1 = 0.05
 
@@ -28,12 +25,12 @@ class Scenario:
     """A named deployment pair plus evaluation settings."""
 
     id: str
-    description: str
+    description: str = ""
     dep1: Deployment
     dep2: Deployment
     beta1: float = DEFAULT_BETA1
-    layouts: tuple[LayoutKind, ...] = _DEFAULT_LAYOUTS
-    modes: tuple[NeighborMode, ...] = _DEFAULT_MODES
+    layouts: tuple[LayoutKind, ...] = TESSELLATING_KINDS
+    modes: tuple[NeighborMode, ...] = (NeighborMode.NONE, NeighborMode.ADJACENT)
 
     def __post_init__(self) -> None:
         refuse(range_violations(beta1=self.beta1))
@@ -41,33 +38,21 @@ class Scenario:
         object.__setattr__(self, "modes", tuple(NeighborMode(m) for m in self.modes))
 
 
-def _builtin(sid, desc, d1, d2, pth2, g1, g2, f1, f2) -> Scenario:
-    return Scenario(
-        id=sid,
-        description=desc,
-        dep1=Deployment(d_max=d1, p_r_th=1.0, gamma=g1, f=f1),
-        dep2=Deployment(d_max=d2, p_r_th=pth2, gamma=g2, f=f2),
-    )
-
-
 # Threshold ratios are realized as p_r_th(1) = 1, p_r_th(2) = 1/ratio: only
-# the ratio is observable in every reported metric.
+# the ratio is observable in every reported metric. A row: id, description,
+# d_max(1), d_max(2), p_r_th(2), gamma(1), gamma(2), f(1), f(2).
 _BUILTIN_SCENARIOS = {
-    "S1": _builtin("S1", "Light densification", 500.0, 250.0, 1.0, 3.0, 3.0, 700.0, 700.0),
-    "S2": _builtin("S2", "Moderate densification", 500.0, 100.0, 1.0, 3.0, 2.1, 700.0, 700.0),
-    "S3": _builtin(
-        "S3", "Light densification, frequency change", 500.0, 250.0, 1.0, 3.0, 3.0, 700.0, 3700.0
-    ),
-    "S4": _builtin(
-        "S4",
-        "Same deployment, service & frequency change",
-        500.0, 500.0, 2.0, 3.0, 3.0, 700.0, 3700.0,
-    ),
-    "S5": _builtin(
-        "S5",
-        "Strong densification, service & frequency change",
-        500.0, 50.0, 2.0, 3.0, 2.1, 700.0, 3700.0,
-    ),
+    sid: Scenario(sid, desc, Deployment(d1, 1.0, g1, f1), Deployment(d2, pth2, g2, f2))
+    for sid, desc, d1, d2, pth2, g1, g2, f1, f2 in (
+        ("S1", "Light densification", 500.0, 250.0, 1.0, 3.0, 3.0, 700.0, 700.0),
+        ("S2", "Moderate densification", 500.0, 100.0, 1.0, 3.0, 2.1, 700.0, 700.0),
+        ("S3", "Light densification, frequency change",
+         500.0, 250.0, 1.0, 3.0, 3.0, 700.0, 3700.0),
+        ("S4", "Same deployment, service & frequency change",
+         500.0, 500.0, 2.0, 3.0, 3.0, 700.0, 3700.0),
+        ("S5", "Strong densification, service & frequency change",
+         500.0, 50.0, 2.0, 3.0, 2.1, 700.0, 3700.0),
+    )
 }
 
 
@@ -90,10 +75,15 @@ def builtin_scenario(scenario_id: str) -> Scenario:
 
 # -- JSON scenario documents -------------------------------------------------
 
-_DEPLOYMENT_REQUIRED = ("d_max_m", "p_r_th", "gamma", "f_mhz")
-_DEPLOYMENT_OPTIONAL = {"eta": 2.0, "c": 1.0}
-_TOP_REQUIRED = ("id", "deployment1", "deployment2")
-_TOP_OPTIONAL = ("description", "beta1", "layouts", "modes")
+#: The fields of a scenario document and of its deployments, in the order
+#: they are checked, each with the record field it sets. A field is optional
+#: where its record has a default, which the field takes when it is absent.
+_FIELDS = {
+    Scenario: {"id": "id", "description": "description", "deployment1": "dep1",
+               "deployment2": "dep2", "beta1": "beta1", "layouts": "layouts", "modes": "modes"},
+    Deployment: {"d_max_m": "d_max", "p_r_th": "p_r_th", "gamma": "gamma", "f_mhz": "f",
+                 "eta": "eta", "c": "c"},
+}
 
 
 def _reject_constant(token: str) -> float:
@@ -106,13 +96,20 @@ def _as_number(value: object, path: str) -> float:
     return float(value)
 
 
-def _check_keys(obj: dict, required: tuple, optional: tuple, path: str) -> None:
+def _check_keys(obj: object, record_type: type, path: str) -> dict:
+    """``obj``, the document object at ``path`` that gives a ``record_type``.
+    Refuses a value that is not an object, then its first unknown field, then
+    its first missing required field."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path or 'top-level value'} must be an object")
+    prefix, fields = f"{path}." if path else "", _FIELDS[record_type]
     for key in obj:
-        if key not in required and key not in optional:
-            raise ScenarioError(f"unknown field {path}{key!r}")
-    for key in required:
-        if key not in obj:
-            raise ScenarioError(f"missing required field {path}{key!r}")
+        if key not in fields:
+            raise ScenarioError(f"unknown field {prefix}{key!r}")
+    for key, name in fields.items():
+        if key not in obj and name not in record_type._field_defaults:
+            raise ScenarioError(f"missing required field {prefix}{key!r}")
+    return obj
 
 
 def _refuse_in_document(violations: list[Violation]) -> None:
@@ -124,20 +121,11 @@ def _refuse_in_document(violations: list[Violation]) -> None:
 
 
 def _parse_deployment(obj: object, path: str) -> Deployment:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path} must be an object")
-    _check_keys(obj, _DEPLOYMENT_REQUIRED, tuple(_DEPLOYMENT_OPTIONAL), f"{path}.")
-    values = {key: _as_number(obj[key], f"{path}.{key}") for key in obj}
+    values = {key: _as_number(value, f"{path}.{key}")
+              for key, value in _check_keys(obj, Deployment, path).items()}
     _refuse_in_document(range_violations(fields=[(f"{path}.{key}", value)
                                                  for key, value in values.items()]))
-    return Deployment(
-        d_max=values["d_max_m"],
-        p_r_th=values["p_r_th"],
-        gamma=values["gamma"],
-        f=values["f_mhz"],
-        eta=values.get("eta", _DEPLOYMENT_OPTIONAL["eta"]),
-        c=values.get("c", _DEPLOYMENT_OPTIONAL["c"]),
-    )
+    return Deployment(**{_FIELDS[Deployment][key]: value for key, value in values.items()})
 
 
 def _parse_enum_list(value: object, enum_type, path: str) -> tuple:
@@ -167,43 +155,25 @@ def parse_scenario_file(document: str) -> Scenario:
         data = json.loads(document, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ScenarioError("top-level value must be an object")
-    _check_keys(data, _TOP_REQUIRED, _TOP_OPTIONAL, "")
-
+    data = _check_keys(data, Scenario, "")
     if not isinstance(data["id"], str):
         raise ScenarioError("id must be a string")
     if not data["id"]:
         raise ScenarioError("id: must not be empty")
-    description = data.get("description", "")
-    if not isinstance(description, str):
+    if "description" in data and not isinstance(data["description"], str):
         raise ScenarioError("description must be a string")
-
-    dep1 = _parse_deployment(data["deployment1"], "deployment1")
-    dep2 = _parse_deployment(data["deployment2"], "deployment2")
-
-    beta1 = _as_number(data["beta1"], "beta1") if "beta1" in data else DEFAULT_BETA1
-    _refuse_in_document(range_violations(beta1=beta1, d_max=(dep1.d_max, dep2.d_max)))
-
-    layouts = (
-        _parse_enum_list(data["layouts"], LayoutKind, "layouts")
-        if "layouts" in data
-        else _DEFAULT_LAYOUTS
-    )
-    modes = (
-        _parse_enum_list(data["modes"], NeighborMode, "modes")
-        if "modes" in data
-        else _DEFAULT_MODES
-    )
-    return Scenario(
-        id=data["id"],
-        description=description,
-        dep1=dep1,
-        dep2=dep2,
-        beta1=beta1,
-        layouts=layouts,
-        modes=modes,
-    )
+    values = dict(data)
+    for key in ("deployment1", "deployment2"):
+        values[key] = _parse_deployment(data[key], key)
+    if "beta1" in data:
+        values["beta1"] = _as_number(data["beta1"], "beta1")
+    _refuse_in_document(range_violations(
+        beta1=values.get("beta1", Scenario._field_defaults["beta1"]),
+        d_max=(values["deployment1"].d_max, values["deployment2"].d_max)))
+    for key, enum_type in (("layouts", LayoutKind), ("modes", NeighborMode)):
+        if key in data:
+            values[key] = _parse_enum_list(data[key], enum_type, key)
+    return Scenario(**{_FIELDS[Scenario][key]: value for key, value in values.items()})
 
 
 # -- Validation --------------------------------------------------------------

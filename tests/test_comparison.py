@@ -27,6 +27,7 @@ from rfpcompare import (
     delta_emitted,
     delta_fixed,
     emitted_power,
+    evaluable,
     evaluate_pair,
     pair_for,
     rfp_avg,
@@ -358,6 +359,29 @@ def test_received_ratios_invariant_to_common_scaling():
         )
         assert delta_avg(scaled) == pytest.approx(delta_avg(pair), rel=1e-12)
         assert delta_fixed(scaled) == pytest.approx(delta_fixed(pair), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.3048, 2.0, 1e3])
+@pytest.mark.parametrize("scenario_id", ["S1", "S2", "S3", "S4", "S5"])
+def test_the_unit_of_length_moves_only_the_emitted_power_ratio(scenario_id, k):
+    """Every length times k, as in another unit. The received-power ratios
+    depend on d/d_max alone: delta_pr_avg keeps its bits, delta_pr_fx stays
+    within 1e-15. The emitted power carries d_max**gamma in meters, the path
+    loss c at the implicit 1 m: delta_pe is k**(gamma1 - gamma2) times its
+    value in meters. A received power that let an unscaled d_max in would
+    break the first two."""
+    s = builtin_scenario(scenario_id)
+    dep1, dep2 = (Deployment(d.d_max * k, d.p_r_th, d.gamma, d.f, d.eta, d.c)
+                  for d in (s.dep1, s.dep2))
+    unit = k ** (s.dep2.gamma - s.dep1.gamma)
+    for layout, mode in evaluable(LayoutKind, tuple(NeighborMode)):
+        for beta1 in (0.01, 0.05, 0.09):
+            meters = DeploymentPair(s.dep1, s.dep2, layout, beta1, mode)
+            scaled = DeploymentPair(dep1, dep2, layout, beta1, mode)
+            assert delta_avg(scaled) == delta_avg(meters)
+            assert delta_fixed(scaled) == pytest.approx(delta_fixed(meters), rel=1e-15, abs=0)
+            assert delta_emitted(scaled) * unit == pytest.approx(delta_emitted(meters),
+                                                                 rel=1e-15, abs=0)
 
 
 # -- closed forms -----------------------------------------------------------------

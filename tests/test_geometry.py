@@ -14,7 +14,6 @@ from rfpcompare import (
     LayoutKind,
     NoTessellationError,
     TESSELLATING_KINDS,
-    cell_contains,
     estimate_alpha_monte_carlo,
 )
 from rfpcompare.geometry import _BOUNDING_BOX, _hexagon_mask, contains_mask
@@ -129,31 +128,31 @@ def test_alpha_ordering_across_layouts():
 
 
 def test_cell_contains_examples():
-    assert cell_contains(LayoutKind.HEXAGONAL, (0.0, 0.0))
-    assert not cell_contains(LayoutKind.SQUARE, (1.01, 0.0))
+    assert contains_mask(LayoutKind.HEXAGONAL, 0.0, 0.0)
+    assert not contains_mask(LayoutKind.SQUARE, 1.01, 0.0)
     # Flat-topped hexagon has a vertex on the x axis, so this is inside.
-    assert cell_contains(LayoutKind.HEXAGONAL, (0.99, 0.0))
-    assert cell_contains(LayoutKind.HEXAGONAL, (1.0, 0.0))
-    assert not cell_contains(LayoutKind.HEXAGONAL, (0.99, 0.5))
+    assert contains_mask(LayoutKind.HEXAGONAL, 0.99, 0.0)
+    assert contains_mask(LayoutKind.HEXAGONAL, 1.0, 0.0)
+    assert not contains_mask(LayoutKind.HEXAGONAL, 0.99, 0.5)
 
 
 def test_cell_contains_square_is_axis_aligned_with_unit_circumradius():
     h = 1 / SQRT2
-    assert cell_contains(LayoutKind.SQUARE, (h, h))  # vertex, distance 1
-    assert not cell_contains(LayoutKind.SQUARE, (h + 1e-9, 0.0))
-    assert cell_contains(LayoutKind.SQUARE, (h - 1e-9, 0.0))
+    assert contains_mask(LayoutKind.SQUARE, h, h)  # vertex, distance 1
+    assert not contains_mask(LayoutKind.SQUARE, h + 1e-9, 0.0)
+    assert contains_mask(LayoutKind.SQUARE, h - 1e-9, 0.0)
 
 
 def test_cell_contains_highway_is_a_segment():
-    assert cell_contains(LayoutKind.HIGHWAY, (0.5, 0.0))
-    assert cell_contains(LayoutKind.HIGHWAY, (-1.0, 0.0))
-    assert not cell_contains(LayoutKind.HIGHWAY, (0.5, 1e-9))
-    assert not cell_contains(LayoutKind.HIGHWAY, (1.0001, 0.0))
+    assert contains_mask(LayoutKind.HIGHWAY, 0.5, 0.0)
+    assert contains_mask(LayoutKind.HIGHWAY, -1.0, 0.0)
+    assert not contains_mask(LayoutKind.HIGHWAY, 0.5, 1e-9)
+    assert not contains_mask(LayoutKind.HIGHWAY, 1.0001, 0.0)
 
 
 def test_cell_contains_circle():
-    assert cell_contains(LayoutKind.CIRCLE, (0.6, 0.6))
-    assert not cell_contains(LayoutKind.CIRCLE, (0.8, 0.8))
+    assert contains_mask(LayoutKind.CIRCLE, 0.6, 0.6)
+    assert not contains_mask(LayoutKind.CIRCLE, 0.8, 0.8)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +164,7 @@ def test_cell_contains_matches_ray_casting_oracle(kind, vertices):
     rng = np.random.default_rng(411)
     pts = rng.uniform(-1.2, 1.2, size=(20_000, 2))
     for x, y in pts:
-        assert cell_contains(kind, (x, y)) == point_in_polygon(vertices, x, y), (x, y)
+        assert contains_mask(kind, x, y) == point_in_polygon(vertices, x, y), (x, y)
 
 
 def test_cell_contains_hexagon_symmetry():
@@ -173,12 +172,12 @@ def test_cell_contains_hexagon_symmetry():
     rng = np.random.default_rng(77)
     pts = rng.uniform(-1.2, 1.2, size=(2_000, 2))
     for x, y in pts:
-        member = cell_contains(LayoutKind.HEXAGONAL, (x, y))
+        member = contains_mask(LayoutKind.HEXAGONAL, x, y)
         for k in range(6):
             c, s = math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)
             rx, ry = c * x - s * y, s * x + c * y
-            assert cell_contains(LayoutKind.HEXAGONAL, (rx, ry)) == member
-            assert cell_contains(LayoutKind.HEXAGONAL, (rx, -ry)) == member
+            assert contains_mask(LayoutKind.HEXAGONAL, rx, ry) == member
+            assert contains_mask(LayoutKind.HEXAGONAL, rx, -ry) == member
 
 
 def test_cell_contains_square_symmetry():
@@ -186,10 +185,10 @@ def test_cell_contains_square_symmetry():
     rng = np.random.default_rng(78)
     pts = rng.uniform(-1.2, 1.2, size=(2_000, 2))
     for x, y in pts:
-        member = cell_contains(LayoutKind.SQUARE, (x, y))
+        member = contains_mask(LayoutKind.SQUARE, x, y)
         for rx, ry in ((y, -x), (-x, -y), (-y, x)):
-            assert cell_contains(LayoutKind.SQUARE, (rx, ry)) == member
-        assert cell_contains(LayoutKind.SQUARE, (x, -y)) == member
+            assert contains_mask(LayoutKind.SQUARE, rx, ry) == member
+        assert contains_mask(LayoutKind.SQUARE, x, -y) == member
 
 
 def half_plane_hexagon(x: np.ndarray, y: np.ndarray) -> np.ndarray:

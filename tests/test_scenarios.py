@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import invoke
 
 import rfpcompare
 from rfpcompare import (
@@ -32,6 +33,7 @@ from rfpcompare import (
     closed_form_delta,
     compute_field,
     delta_emitted,
+    delta_fixed,
     empirical_alpha,
     estimate_alpha_monte_carlo,
     generate_sites,
@@ -44,6 +46,7 @@ from rfpcompare import (
     validate_scenario,
 )
 from rfpcompare.comparison import MAX_SWEEP_POINTS
+from rfpcompare.propagation import BETA2_TOLERANCE, beta2
 
 S1_DOCUMENT = """
 {
@@ -127,6 +130,9 @@ def test_parse_applies_defaults():
     assert s.dep1.eta == 2.0 and s.dep1.c == 1.0
     assert s.layouts == (LayoutKind.HIGHWAY, LayoutKind.SQUARE, LayoutKind.HEXAGONAL)
     assert s.modes == (NeighborMode.NONE, NeighborMode.ADJACENT)
+    # The absent fields take the records' own defaults.
+    assert s == Scenario("X", "", Deployment(400.0, 1.0, 3.0, 700.0),
+                         Deployment(200.0, 1.0, 3.0, 700.0))
 
 
 def test_parse_rejects_malformed_json():
@@ -413,6 +419,11 @@ NONE, ADJACENT = NeighborMode.NONE, NeighborMode.ADJACENT
 GAMMA_9 = "gamma = 9.0 is outside the plausible range [1.5, 6.5]"
 BETA2 = "beta1 = 0.2 gives beta2 = beta1 * d_max(1)/d_max(2) = 2, outside (0, 1]"
 CIRCLE_ADJACENT = "the circle layout cannot be evaluated in adjacent-neighbor mode"
+#: The float after the largest beta2 that counts as 1, and its refusal, which
+#: prints it in full rather than as a 1 that (0, 1] holds.
+PAST_TOLERANCE = math.nextafter(1.0 + BETA2_TOLERANCE, 2.0)
+BETA2_PAST_TOLERANCE = ("beta1 = 0.5 gives beta2 = beta1 * d_max(1)/d_max(2) = "
+                        "1.000000000000001, outside (0, 1]")
 
 # (id, call, outcome): every range rule at every entry point that applies it.
 RANGE_CASES = [
@@ -455,6 +466,10 @@ RANGE_CASES = [
      (OutOfRangeError, None, "beta1 must be in (0, 1), got 1.0")),
     ("DeploymentPair-beta2", lambda: DeploymentPair(S5.dep1, S5.dep2, HEX, 0.2, NONE),
      (OutOfRangeError, None, BETA2)),
+    ("DeploymentPair-beta2-past-the-tolerance",
+     lambda: DeploymentPair(Deployment(2 * PAST_TOLERANCE, 1.0, 3.0, 700.0),
+                            Deployment(1.0, 1.0, 3.0, 700.0), HEX, 0.5, NONE),
+     (OutOfRangeError, None, BETA2_PAST_TOLERANCE)),
     ("DeploymentPair-circle-adjacent",
      lambda: DeploymentPair(S5.dep1, S5.dep2, CIRCLE, 0.05, ADJACENT),
      (NoTessellationError, None, CIRCLE_ADJACENT)),
@@ -484,6 +499,9 @@ RANGE_CASES = [
      (ScenarioError, None, "beta1: beta1 must be in (0, 1), got 1.0")),
     ("parse-beta2", lambda: parse_scenario_file(document(None, {"d_max_m": 50}, beta1=0.2)),
      (ScenarioError, None, f"beta1: {BETA2}")),
+    ("parse-beta2-past-the-tolerance", lambda: parse_scenario_file(
+        document({"d_max_m": 2 * PAST_TOLERANCE}, {"d_max_m": 1}, beta1=0.5)),
+     (ScenarioError, None, f"beta1: {BETA2_PAST_TOLERANCE}")),
     # The pair rules that validate_scenario reports are not parse errors.
     ("parse-eta-change", lambda: parse_scenario_file(document(None, {"eta": 3})), []),
     ("parse-circle-adjacent", lambda: parse_scenario_file(
@@ -539,6 +557,45 @@ def test_range_rule_outcome(call, expected):
     """Exception class and text (with the field path for a scenario document),
     or the warnings and violations, of each range rule at each entry point."""
     assert outcome(call) == expected
+
+
+#: Built-ins with their lengths in feet, written in meters: beta1, d_max(2)
+#: for d_max(1) = 500 ft = 152.4 m, and delta_pr_fx without neighbors. beta2
+#: is 1 exactly, which beta1 * d_max(1)/d_max(2) computes as 1 + 2.2e-16, so
+#: delta_pr_fx is p_r_th(1)/p_r_th(2) * beta1**-gamma(1).
+FEET = {"S2": (0.2, 30.48, 125.0), "S5": (0.1, 15.24, 500.0)}
+
+
+def in_feet(sid: str) -> str:
+    """Built-in ``sid`` as a document, with its lengths in feet written in meters."""
+    s = builtin_scenario(sid)
+    beta1, d_max2, _ = FEET[sid]
+    return json.dumps({"id": f"{sid}-ft", "beta1": beta1, **{
+        f"deployment{i}": {"d_max_m": d_max, "p_r_th": d.p_r_th, "gamma": d.gamma, "f_mhz": d.f}
+        for i, d, d_max in ((1, s.dep1, 152.4), (2, s.dep2, d_max2))}})
+
+
+@pytest.mark.parametrize("sid", FEET)
+def test_a_beta2_rounded_above_one_is_one(sid, tmp_path):
+    """The pair, the document and ``compare`` take the rounded beta2 as 1."""
+    beta1, d_max2, delta_pr_fx = FEET[sid]
+    assert beta1 * 152.4 / d_max2 == 1.0 + math.ulp(1.0)
+    scenario = parse_scenario_file(in_feet(sid))
+    assert validate_scenario(scenario) == []
+    pair = DeploymentPair(scenario.dep1, scenario.dep2, HEX, beta1, NONE)
+    assert pair.beta2 == 1.0
+    assert delta_fixed(pair) == pytest.approx(delta_pr_fx, rel=1e-15, abs=0)
+    path = tmp_path / "feet.json"
+    path.write_text(in_feet(sid), encoding="utf-8")
+    result = invoke("compare", "--scenario", str(path), "--layout", "hexagonal",
+                    "--neighbors", "off", "--format", "json")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert json.loads(result.stdout)[0]["delta_pr_fx"] == delta_pr_fx
+
+
+def test_beta2_is_one_up_to_the_tolerance():
+    assert beta2(0.5, 2.0 * (1.0 + BETA2_TOLERANCE), 1.0) == 1.0
+    assert beta2(0.5, 2.0 * PAST_TOLERANCE, 1.0) == PAST_TOLERANCE > 1.0 + BETA2_TOLERANCE
 
 
 DEP = Deployment(500.0, 1.0, 3.0, 700.0)
